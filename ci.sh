@@ -26,6 +26,20 @@ run() {
     "$@"
 }
 
+# Benchmark lock guard (every tier): the repo benchmark builds
+# perfbench/ with `--locked`, and perfbench/Cargo.lock pins the
+# dependency graph of every crate it builds. A manifest change in one
+# of those crates (a dependency added or dropped) makes the benchmark
+# fail with "cannot update the lock file"; catch it here instead.
+echo "== cargo metadata --locked --manifest-path perfbench/Cargo.toml =="
+if ! cargo metadata --offline --locked --format-version 1 \
+        --manifest-path perfbench/Cargo.toml >/dev/null; then
+    echo "ci: perfbench/Cargo.lock is stale: a manifest change in a crate the" \
+         "benchmark builds breaks its --locked build; revert the manifest" \
+         "change or regenerate the lock in a benchmark change" >&2
+    exit 1
+fi
+
 if [ "$subset" -eq 1 ]; then
     # Representative-subset fast tier: run only the workloads the
     # characterization map selected (one per cluster, committed in
@@ -75,6 +89,10 @@ fi
 run cargo test --workspace -q
 
 if [ "$fast" -eq 0 ]; then
+    # The benchmark package is its own workspace, so the line above
+    # does not reach its tests (statistics, /proc parsers, metric list).
+    run cargo test -q --manifest-path perfbench/Cargo.toml
+
     # Fault-injection smoke: WordCount with an injected spill error,
     # map-task panic and straggler must match the fault-free run.
     run cargo run --release -q -p bdb-bench --bin reproduce -- --faults 42

@@ -1237,7 +1237,7 @@ fn slo_pass(args: &Args) {
 /// fast per-PR tier).
 fn chaos_pass(args: &Args) {
     use bdb_chaos::{oltp_campaign, serving_campaign, wordcount_campaign, OltpCampaignConfig};
-    use bdb_telemetry::json::ObjectWriter;
+    use bdb_telemetry::json::{write_array, ObjectWriter};
 
     let seed = args.chaos_seed.expect("chaos_pass called without --chaos");
     let dir = args.chaos_dir.as_ref().expect("--chaos always parses its directory");
@@ -1305,15 +1305,9 @@ fn chaos_pass(args: &Args) {
         let mut o = ObjectWriter::new(&mut out);
         o.field_str("schema", "bdb-chaos-run-v1").field_u64("seed", seed);
         o.field_u64("campaigns_run", reports.len() as u64);
-        let buf = o.field_raw("campaigns");
-        buf.push('[');
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
+        write_array(o.field_raw("campaigns"), reports, |buf, r| {
             buf.push_str(r.render_json().trim_end());
-        }
-        buf.push(']');
+        });
         o.finish();
     }
     out.push('\n');
@@ -1663,7 +1657,7 @@ fn load_subset(path: &std::path::Path) -> (Vec<String>, Vec<WorkloadId>) {
 /// With `--bench-subset`, only the representative workloads from the
 /// committed charmap are run and gated — the fast per-PR tier.
 fn bench_results(args: &Args) {
-    use bdb_bench::results::{collect, compare_json, compare_json_subset, DEFAULT_WORKLOADS};
+    use bdb_bench::results::{collect, compare_json, DEFAULT_WORKLOADS};
 
     section("BENCH_RESULTS — simulated performance artifact");
     let subset = args.bench_subset.as_deref().map(load_subset);
@@ -1700,13 +1694,8 @@ fn bench_results(args: &Args) {
     if let Some(path) = &args.bench_baseline {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("reading baseline {}: {e}", path.display())));
-        let compared = match &subset {
-            Some((names, _)) => {
-                compare_json_subset(&baseline, &current, args.bench_tolerance, names)
-            }
-            None => compare_json(&baseline, &current, args.bench_tolerance),
-        };
-        match compared {
+        let names = subset.as_ref().map(|(names, _)| names.as_slice());
+        match compare_json(&baseline, &current, args.bench_tolerance, names) {
             Ok(drifts) if drifts.is_empty() => {
                 println!(
                     "bench-check PASS: all gated metrics within {}% of {}{}",

@@ -15,5 +15,5 @@ pub mod paper;
 pub mod results;
 pub mod table;
 
-pub use results::{collect, compare_json, compare_json_subset, BenchResults, Drift};
+pub use results::{collect, compare_json, BenchResults, Drift};
 pub use table::TextTable;

@@ -9,10 +9,10 @@
 //! the `ci.sh --bench-check` gate. Wall-clock numbers are recorded for
 //! context but never gated: only deterministic simulator outputs are.
 //!
-//! The JSON is written by hand through [`bdb_telemetry::json`] so the
-//! artifact builds identically with or without a real `serde_json`.
+//! The artifact is written and read back through [`bdb_telemetry::json`],
+//! the suite's one JSON codec.
 
-use bdb_telemetry::json::ObjectWriter;
+use bdb_telemetry::json::{self, write_array, ArrayWriter, Json, ObjectWriter};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
 use std::path::Path;
 use std::time::Instant;
@@ -177,18 +177,11 @@ impl BenchResults {
         root.field_u64("schema_version", SCHEMA_VERSION)
             .field_str("machine", &self.machine)
             .field_f64("fraction", self.fraction);
-        {
-            let buf = root.field_raw("workloads");
-            buf.push('[');
-            for (i, w) in self.workloads.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                buf.push_str("\n  ");
-                write_workload(buf, w);
-            }
-            buf.push_str("\n]");
+        let mut workloads = ArrayWriter::lines(root.field_raw("workloads"), "  ");
+        for w in &self.workloads {
+            write_workload(workloads.item(), w);
         }
+        workloads.finish();
         root.finish();
         out.push('\n');
         out
@@ -238,24 +231,16 @@ fn write_workload(out: &mut String, w: &WorkloadResult) {
     }
     o.field_f64("int_per_dram_byte", w.int_per_dram_byte)
         .field_f64("fp_per_dram_byte", w.fp_per_dram_byte);
-    {
-        let buf = o.field_raw("phases");
-        buf.push('[');
-        for (i, p) in w.phases.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let mut ph = ObjectWriter::new(buf);
-            ph.field_str("name", &p.name)
-                .field_u64("instructions", p.instructions)
-                .field_u64("cycles", p.cycles)
-                .field_u64("l2_misses", p.l2_misses)
-                .field_u64("llc_misses", p.llc_misses)
-                .field_u64("dram_bytes", p.dram_bytes);
-            ph.finish();
-        }
-        buf.push(']');
-    }
+    write_array(o.field_raw("phases"), &w.phases, |buf, p| {
+        let mut ph = ObjectWriter::new(buf);
+        ph.field_str("name", &p.name)
+            .field_u64("instructions", p.instructions)
+            .field_u64("cycles", p.cycles)
+            .field_u64("l2_misses", p.l2_misses)
+            .field_u64("llc_misses", p.llc_misses)
+            .field_u64("dram_bytes", p.dram_bytes);
+        ph.finish();
+    });
     o.finish();
 }
 
@@ -285,227 +270,6 @@ impl std::fmt::Display for Drift {
     }
 }
 
-/// A tiny structural JSON reader for the comparator: it needs numbers
-/// and strings by key path from documents *we* wrote, nothing more.
-/// Hand-rolled so the gate works against any `serde_json` (including
-/// offline stand-ins whose serializers are inert).
-mod reader {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true`/`false`.
-        Bool(bool),
-        /// Any number (parsed as f64; exact for the u64s we gate on
-        /// only up to 2^53, which simulated counters stay far below).
-        Num(f64),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<Json>),
-        /// Object, insertion order preserved.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Member lookup on objects.
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The number, if this is one.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The string, if this is one.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses `text` into a [`Json`] tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message with the byte offset on malformed input.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Json::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Json::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Json::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Json::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, text: &str, v: Json) -> Result<Json, String> {
-        if b[*pos..].starts_with(text.as_bytes()) {
-            *pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut s = String::new();
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| {
-                                    format!("bad \\u escape at byte {pos}", pos = *pos)
-                                })?;
-                            s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        Some(&esc) => s.push(esc as char),
-                        None => return Err("unterminated escape".to_owned()),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let ch_len = utf8_len(c);
-                    let chunk = b
-                        .get(*pos..*pos + ch_len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("bad utf-8 at byte {pos}", pos = *pos))?;
-                    s.push_str(chunk);
-                    *pos += ch_len;
-                }
-            }
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0xF0..=0xF7 => 4,
-            0xE0..=0xEF => 3,
-            0xC0..=0xDF => 2,
-            _ => 1,
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        *pos += 1; // '{'
-        let mut members = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected ':' at byte {pos}", pos = *pos));
-            }
-            *pos += 1;
-            members.push((key, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-}
-
 /// The gated metric paths: deterministic simulator outputs only.
 const GATED: [&str; 5] = ["mips", "ipc", "instructions", "cycles", "dram_bytes"];
 
@@ -521,7 +285,7 @@ fn change_pct(baseline: f64, current: f64) -> f64 {
     }
 }
 
-fn require_f64(v: &reader::Json, workload: &str, path: &str) -> Result<f64, String> {
+fn require_f64(v: &Json, workload: &str, path: &str) -> Result<f64, String> {
     let mut node = v;
     for part in path.split('.') {
         node =
@@ -533,50 +297,31 @@ fn require_f64(v: &reader::Json, workload: &str, path: &str) -> Result<f64, Stri
 /// Diffs two artifacts, returning every gated metric whose relative
 /// change exceeds `tolerance_pct` in either direction.
 ///
+/// With `subset`, only the named workloads are gated — the
+/// representative-subset fast tier (`ci.sh --subset`). The current run
+/// may then hold only the subset workloads; baseline workloads outside
+/// the subset are skipped, not required.
+///
 /// # Errors
 ///
 /// Returns an explanation when the documents are not comparable:
 /// malformed JSON, different schema versions, different input
-/// fractions, or a baseline workload missing from the current run.
+/// fractions, a baseline workload (within `subset`, if given) missing
+/// from the current run, or a subset workload missing from the
+/// *baseline* (a stale subset names a workload the artifact no longer
+/// tracks).
 pub fn compare_json(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
-) -> Result<Vec<Drift>, String> {
-    compare_json_filtered(baseline, current, tolerance_pct, None)
-}
-
-/// Like [`compare_json`], but gating only the workloads named in
-/// `subset` — the representative-subset fast tier (`ci.sh --subset`).
-/// The current run may legitimately contain only the subset workloads;
-/// baseline workloads outside the subset are skipped, not required.
-///
-/// # Errors
-///
-/// Everything [`compare_json`] rejects, plus a subset workload missing
-/// from the *baseline* (a stale subset names a workload the artifact
-/// no longer tracks).
-pub fn compare_json_subset(
-    baseline: &str,
-    current: &str,
-    tolerance_pct: f64,
-    subset: &[String],
-) -> Result<Vec<Drift>, String> {
-    compare_json_filtered(baseline, current, tolerance_pct, Some(subset))
-}
-
-fn compare_json_filtered(
     baseline: &str,
     current: &str,
     tolerance_pct: f64,
     subset: Option<&[String]>,
 ) -> Result<Vec<Drift>, String> {
-    let base = reader::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cur = reader::parse(current).map_err(|e| format!("current: {e}"))?;
+    let base = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cur = json::parse(current).map_err(|e| format!("current: {e}"))?;
     for (doc, label) in [(&base, "baseline"), (&cur, "current")] {
         let version = doc
             .get("schema_version")
-            .and_then(reader::Json::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("{label}: missing schema_version"))?;
         if version != SCHEMA_VERSION as f64 {
             return Err(format!(
@@ -584,23 +329,20 @@ fn compare_json_filtered(
             ));
         }
     }
-    let base_fraction = base.get("fraction").and_then(reader::Json::as_f64);
-    let cur_fraction = cur.get("fraction").and_then(reader::Json::as_f64);
+    let base_fraction = base.get("fraction").and_then(Json::as_f64);
+    let cur_fraction = cur.get("fraction").and_then(Json::as_f64);
     if base_fraction != cur_fraction {
         return Err(format!(
             "input fractions differ (baseline {base_fraction:?}, current {cur_fraction:?}); \
              the runs are not comparable"
         ));
     }
-    let empty: [reader::Json; 0] = [];
-    let base_workloads = base.get("workloads").and_then(reader::Json::as_array).unwrap_or(&empty);
-    let cur_workloads = cur.get("workloads").and_then(reader::Json::as_array).unwrap_or(&empty);
+    let empty: [Json; 0] = [];
+    let base_workloads = base.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
+    let cur_workloads = cur.get("workloads").and_then(Json::as_array).unwrap_or(&empty);
     if let Some(subset) = subset {
         for name in subset {
-            if !base_workloads
-                .iter()
-                .any(|w| w.get("name").and_then(reader::Json::as_str) == Some(name))
-            {
+            if !base_workloads.iter().any(|w| w.get("name").and_then(Json::as_str) == Some(name)) {
                 return Err(format!(
                     "subset workload {name} missing from the baseline; \
                      regenerate BENCH_RESULTS.json or charmap.json"
@@ -610,15 +352,14 @@ fn compare_json_filtered(
     }
     let mut drifts = Vec::new();
     for bw in base_workloads {
-        let name = bw.get("name").and_then(reader::Json::as_str).unwrap_or("?").to_owned();
+        let name = bw.get("name").and_then(Json::as_str).unwrap_or("?").to_owned();
         if let Some(subset) = subset {
             if !subset.contains(&name) {
                 continue;
             }
         }
-        let Some(cw) = cur_workloads
-            .iter()
-            .find(|w| w.get("name").and_then(reader::Json::as_str) == Some(&name))
+        let Some(cw) =
+            cur_workloads.iter().find(|w| w.get("name").and_then(Json::as_str) == Some(&name))
         else {
             return Err(format!(
                 "workload {name} present in baseline but missing from current run"
@@ -656,30 +397,25 @@ mod tests {
     fn artifact_round_trips_through_own_reader() {
         let results = tiny();
         let json = results.to_json();
-        let v = reader::parse(&json).expect("self-written JSON parses");
-        assert_eq!(
-            v.get("schema_version").and_then(reader::Json::as_f64),
-            Some(SCHEMA_VERSION as f64)
-        );
-        let workloads = v.get("workloads").and_then(reader::Json::as_array).unwrap();
+        let v = json::parse(&json).expect("self-written JSON parses");
+        assert_eq!(v.get("schema_version").and_then(Json::as_f64), Some(SCHEMA_VERSION as f64));
+        let workloads = v.get("workloads").and_then(Json::as_array).unwrap();
         assert_eq!(workloads.len(), 1);
         let w = &workloads[0];
-        assert_eq!(w.get("name").and_then(reader::Json::as_str), Some("WordCount"));
-        assert!(w.get("mips").and_then(reader::Json::as_f64).unwrap() > 0.0);
-        let phases = w.get("phases").and_then(reader::Json::as_array).unwrap();
+        assert_eq!(w.get("name").and_then(Json::as_str), Some("WordCount"));
+        assert!(w.get("mips").and_then(Json::as_f64).unwrap() > 0.0);
+        let phases = w.get("phases").and_then(Json::as_array).unwrap();
         assert!(!phases.is_empty(), "WordCount records map/shuffle/reduce phases");
-        let phase_instructions: f64 = phases
-            .iter()
-            .map(|p| p.get("instructions").and_then(reader::Json::as_f64).unwrap())
-            .sum();
-        let total = w.get("instructions").and_then(reader::Json::as_f64).unwrap();
+        let phase_instructions: f64 =
+            phases.iter().map(|p| p.get("instructions").and_then(Json::as_f64).unwrap()).sum();
+        let total = w.get("instructions").and_then(Json::as_f64).unwrap();
         assert!((phase_instructions - total).abs() < 0.5, "phases partition the run");
     }
 
     #[test]
     fn identical_artifacts_show_no_drift() {
         let json = tiny().to_json();
-        let drifts = compare_json(&json, &json, 0.0).expect("comparable");
+        let drifts = compare_json(&json, &json, 0.0, None).expect("comparable");
         assert!(drifts.is_empty(), "{drifts:?}");
     }
 
@@ -689,13 +425,15 @@ mod tests {
         let mut moved = results.clone();
         moved.workloads[0].mips *= 1.25;
         moved.workloads[0].mpki[2] *= 0.9;
-        let drifts = compare_json(&results.to_json(), &moved.to_json(), 5.0).expect("comparable");
+        let drifts =
+            compare_json(&results.to_json(), &moved.to_json(), 5.0, None).expect("comparable");
         let metrics: Vec<&str> = drifts.iter().map(|d| d.metric.as_str()).collect();
         assert!(metrics.contains(&"mips"), "{metrics:?}");
         assert!(metrics.contains(&"mpki.l2"), "{metrics:?}");
         assert!(drifts.iter().all(|d| d.change_pct.abs() > 5.0));
         // Within tolerance the same pair is clean.
-        let ok = compare_json(&results.to_json(), &moved.to_json(), 30.0).expect("comparable");
+        let ok =
+            compare_json(&results.to_json(), &moved.to_json(), 30.0, None).expect("comparable");
         assert!(ok.is_empty());
     }
 
@@ -707,12 +445,12 @@ mod tests {
             &format!("\"schema_version\":{}", SCHEMA_VERSION + 1),
             1,
         );
-        assert!(compare_json(&other_version, &json, 5.0).is_err());
+        assert!(compare_json(&other_version, &json, 5.0, None).is_err());
         let other_fraction = json.replacen("\"fraction\":", "\"fraction\":0.5, \"x\":", 1);
-        assert!(compare_json(&json, &other_fraction, 5.0).is_err());
+        assert!(compare_json(&json, &other_fraction, 5.0, None).is_err());
         let renamed = json.replacen("\"name\":\"WordCount\"", "\"name\":\"Sort\"", 1);
-        assert!(compare_json(&renamed, &json, 5.0).is_err(), "missing workload is an error");
-        assert!(compare_json("not json", &json, 5.0).is_err());
+        assert!(compare_json(&renamed, &json, 5.0, None).is_err(), "missing workload is an error");
+        assert!(compare_json("not json", &json, 5.0, None).is_err());
     }
 
     #[test]
@@ -723,30 +461,31 @@ mod tests {
         let sort = moved.workloads.iter_mut().find(|w| w.name == "Sort").unwrap();
         sort.mips *= 2.0;
         let subset = vec!["WordCount".to_owned()];
-        let drifts =
-            compare_json_subset(&both.to_json(), &moved.to_json(), 1.0, &subset).expect("compares");
+        let drifts = compare_json(&both.to_json(), &moved.to_json(), 1.0, Some(subset.as_slice()))
+            .expect("compares");
         assert!(drifts.is_empty(), "Sort is outside the subset: {drifts:?}");
         // The full comparator still sees the drift.
-        let full = compare_json(&both.to_json(), &moved.to_json(), 1.0).expect("compares");
+        let full = compare_json(&both.to_json(), &moved.to_json(), 1.0, None).expect("compares");
         assert!(full.iter().any(|d| d.workload == "Sort" && d.metric == "mips"), "{full:?}");
 
         // A current run holding only the subset workloads is fine...
         let only_subset = collect(1.0 / 64.0, &[WorkloadId::WordCount]);
-        compare_json_subset(&both.to_json(), &only_subset.to_json(), 1.0, &subset)
+        compare_json(&both.to_json(), &only_subset.to_json(), 1.0, Some(subset.as_slice()))
             .expect("subset-only current run is comparable");
         // ...but a subset naming an untracked workload is an error.
         let stale = vec!["PageRank".to_owned()];
         let err =
-            compare_json_subset(&both.to_json(), &only_subset.to_json(), 1.0, &stale).unwrap_err();
+            compare_json(&both.to_json(), &only_subset.to_json(), 1.0, Some(stale.as_slice()))
+                .unwrap_err();
         assert!(err.contains("missing from the baseline"), "{err}");
     }
 
     #[test]
     fn artifact_reports_branch_mpki() {
         let json = tiny().to_json();
-        let v = reader::parse(&json).expect("parses");
-        let w = &v.get("workloads").and_then(reader::Json::as_array).unwrap()[0];
-        let branch = w.get("mpki").and_then(|m| m.get("branch")).and_then(reader::Json::as_f64);
+        let v = json::parse(&json).expect("parses");
+        let w = &v.get("workloads").and_then(Json::as_array).unwrap()[0];
+        let branch = w.get("mpki").and_then(|m| m.get("branch")).and_then(Json::as_f64);
         assert!(branch.is_some(), "mpki.branch present");
         assert!(branch.unwrap() >= 0.0);
     }
@@ -759,7 +498,7 @@ mod tests {
         assert_eq!(a.workloads[0].cycles, b.workloads[0].cycles);
         assert_eq!(a.workloads[0].mpki, b.workloads[0].mpki);
         // Only wall_ms (and possibly the native rate) may differ.
-        let drifts = compare_json(&a.to_json(), &b.to_json(), 0.0).expect("comparable");
+        let drifts = compare_json(&a.to_json(), &b.to_json(), 0.0, None).expect("comparable");
         assert!(drifts.is_empty(), "sim metrics must be bit-stable: {drifts:?}");
     }
 }

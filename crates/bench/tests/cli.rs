@@ -74,6 +74,24 @@ fn missing_charmap_baseline_file_is_an_error() {
 }
 
 #[test]
+fn deeply_nested_subset_file_is_an_error_not_an_abort() {
+    // The JSON reader bounds nesting depth, so a hostile file named on
+    // the command line fails cleanly instead of overflowing the stack.
+    let path = std::env::temp_dir().join(format!("bdb-deep-subset-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(1_000_000)).expect("write deep file");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RESULTS.json");
+    let out = reproduce()
+        .args(["--bench-baseline", baseline, "--bench-subset"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "die() on a too-deep subset file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+}
+
+#[test]
 fn chaos_missing_either_value_is_a_usage_error() {
     // `--chaos` takes two values; stopping after zero or one of them is
     // a usage error naming the full shape.

@@ -1,6 +1,6 @@
 //! Campaign verdicts and the byte-deterministic `chaos_report.json`.
 
-use bdb_telemetry::json::ObjectWriter;
+use bdb_telemetry::json::{write_array, ObjectWriter};
 use bdb_telemetry::SpanEvent;
 
 /// One invariant checker's result.
@@ -81,30 +81,20 @@ impl CampaignReport {
         o.field_str("schema", "bdb-chaos-report-v1")
             .field_str("campaign", self.campaign)
             .field_u64("seed", self.seed)
-            .field_u64("rounds", u64::from(self.rounds));
-        raw_bool(o.field_raw("pass"), self.passed());
-        {
-            let buf = o.field_raw("checkers");
-            buf.push('[');
-            for (i, c) in self.checkers.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
+            .field_u64("rounds", u64::from(self.rounds))
+            .field_bool("pass", self.passed());
+        write_array(o.field_raw("checkers"), &self.checkers, |buf, c| {
+            let mut cw = ObjectWriter::new(buf);
+            cw.field_str("name", c.name).field_bool("pass", c.pass);
+            {
+                let mut dw = ObjectWriter::new(cw.field_raw("details"));
+                for (k, v) in &c.details {
+                    dw.field_str(k, v);
                 }
-                let mut cw = ObjectWriter::new(buf);
-                cw.field_str("name", c.name);
-                raw_bool(cw.field_raw("pass"), c.pass);
-                {
-                    let dbuf = cw.field_raw("details");
-                    let mut dw = ObjectWriter::new(dbuf);
-                    for (k, v) in &c.details {
-                        dw.field_str(k, v);
-                    }
-                    dw.finish();
-                }
-                cw.finish();
+                dw.finish();
             }
-            buf.push(']');
-        }
+            cw.finish();
+        });
         {
             let buf = o.field_raw("faults");
             let mut fw = ObjectWriter::new(buf);
@@ -130,11 +120,6 @@ impl CampaignReport {
         out.push('\n');
         out
     }
-}
-
-/// The hand-rolled writer has no boolean field; emit the literal.
-fn raw_bool(buf: &mut String, v: bool) {
-    buf.push_str(if v { "true" } else { "false" });
 }
 
 #[cfg(test)]

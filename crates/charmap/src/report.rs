@@ -11,8 +11,10 @@
 //! a legend below, so column widths are fixed regardless of how long
 //! or hostile (embedded spaces, unicode, quotes) workload names get.
 
-use crate::json::{self, write_escaped, write_f64, write_f64_array, write_str_array, Json};
 use crate::{Charmap, SCHEMA_VERSION, VARIANCE_TARGET};
+use bdb_telemetry::json::{
+    self, write_array, write_escaped, write_f64, ArrayWriter, Json, ObjectWriter,
+};
 use std::fmt::Write as _;
 
 impl Charmap {
@@ -20,67 +22,49 @@ impl Charmap {
     /// order; a pure function of the analysis result.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push('{');
-        let _ = write!(out, "\"schema_version\":{SCHEMA_VERSION},");
-        out.push_str("\"machine\":");
-        write_escaped(&mut out, &self.machine);
-        out.push_str(",\"fraction\":");
-        write_f64(&mut out, self.fraction);
-        let _ = write!(out, ",\"seed\":{},", self.seed);
-        out.push_str("\"variance_target\":");
-        write_f64(&mut out, VARIANCE_TARGET);
-        out.push_str(",\"features\":");
-        write_str_array(&mut out, &self.features);
-        out.push_str(",\"workloads\":");
-        write_str_array(&mut out, &self.workloads);
-        out.push_str(",\"pca\":{\"eigenvalues\":");
-        write_f64_array(&mut out, &self.eigenvalues);
-        out.push_str(",\"variance_shares\":");
-        write_f64_array(&mut out, &self.variance_shares);
-        let _ = write!(out, ",\"retained\":{},", self.retained);
-        out.push_str("\"variance_retained\":");
-        write_f64(&mut out, self.variance_retained);
-        out.push_str(",\"loadings\":");
-        write_matrix(&mut out, &self.loadings);
-        out.push_str("},\"scores\":");
-        write_matrix(&mut out, &self.scores);
-        let _ = write!(out, ",\"clustering\":{{\"k\":{},", self.k);
-        out.push_str("\"silhouette\":");
-        write_f64(&mut out, self.silhouette);
-        out.push_str(",\"silhouette_by_k\":[");
-        for (i, (k, s)) in self.silhouette_by_k.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{k},");
-            write_f64(&mut out, *s);
-            out.push(']');
+        let mut o = ObjectWriter::new(&mut out);
+        o.field_u64("schema_version", SCHEMA_VERSION)
+            .field_str("machine", &self.machine)
+            .field_f64("fraction", self.fraction)
+            .field_u64("seed", self.seed)
+            .field_f64("variance_target", VARIANCE_TARGET);
+        write_strs(o.field_raw("features"), &self.features);
+        write_strs(o.field_raw("workloads"), &self.workloads);
+        {
+            let mut pca = ObjectWriter::new(o.field_raw("pca"));
+            write_f64s(pca.field_raw("eigenvalues"), &self.eigenvalues);
+            write_f64s(pca.field_raw("variance_shares"), &self.variance_shares);
+            pca.field_u64("retained", self.retained as u64)
+                .field_f64("variance_retained", self.variance_retained);
+            write_matrix(pca.field_raw("loadings"), &self.loadings);
+            pca.finish();
         }
-        out.push_str("],\"hier_agreement\":");
-        write_f64(&mut out, self.hier_agreement);
-        out.push_str(",\"assignments\":[");
-        for (i, a) in self.assignments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{a}");
+        write_matrix(o.field_raw("scores"), &self.scores);
+        {
+            let mut c = ObjectWriter::new(o.field_raw("clustering"));
+            c.field_u64("k", self.k as u64).field_f64("silhouette", self.silhouette);
+            write_array(c.field_raw("silhouette_by_k"), &self.silhouette_by_k, |out, &(k, s)| {
+                let mut pair = ArrayWriter::new(out);
+                pair.item().push_str(&k.to_string());
+                write_f64(pair.item(), s);
+                pair.finish();
+            });
+            c.field_f64("hier_agreement", self.hier_agreement);
+            write_array(c.field_raw("assignments"), &self.assignments, |out, a| {
+                out.push_str(&a.to_string());
+            });
+            write_array(c.field_raw("clusters"), &self.clusters, |out, cluster| {
+                let mut m = ObjectWriter::new(out);
+                write_strs(m.field_raw("members"), &cluster.members);
+                m.field_str("representative", &cluster.representative);
+                m.finish();
+            });
+            c.finish();
         }
-        out.push_str("],\"clusters\":[");
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"members\":");
-            write_str_array(&mut out, &c.members);
-            out.push_str(",\"representative\":");
-            write_escaped(&mut out, &c.representative);
-            out.push('}');
-        }
-        out.push_str("]},\"subset\":");
-        write_str_array(&mut out, &self.subset);
-        out.push_str(",\"distances\":");
-        write_matrix(&mut out, &self.distances);
-        out.push_str("}\n");
+        write_strs(o.field_raw("subset"), &self.subset);
+        write_matrix(o.field_raw("distances"), &self.distances);
+        o.finish();
+        out.push('\n');
         out
     }
 
@@ -196,15 +180,16 @@ impl Charmap {
     }
 }
 
+fn write_strs(out: &mut String, values: &[String]) {
+    write_array(out, values, |out, v| write_escaped(out, v));
+}
+
+fn write_f64s(out: &mut String, values: &[f64]) {
+    write_array(out, values, |out, &v| write_f64(out, v));
+}
+
 fn write_matrix(out: &mut String, rows: &[Vec<f64>]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_f64_array(out, row);
-    }
-    out.push(']');
+    write_array(out, rows, |out, row| write_f64s(out, row));
 }
 
 /// The committed-baseline fields the stability rule compares against.

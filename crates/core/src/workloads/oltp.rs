@@ -11,6 +11,7 @@ use bdb_kvstore::{Store, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Library-scale baseline operation count ("32 GB" ≈ 20k ops here).
@@ -20,10 +21,14 @@ const PRELOAD_ROWS: u64 = 10_000;
 /// Rows returned per scan.
 const SCAN_SPAN: u64 = 100;
 
+/// A fresh store directory, unique within the process so runs of the
+/// same workload on concurrent threads never share (and delete) one.
 fn fresh_dir(tag: &str, scale: &RunScale) -> PathBuf {
+    static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "bdb-oltp-{tag}-{}-{}-{}",
+        "bdb-oltp-{tag}-{}-{}-{}-{}",
         std::process::id(),
+        NEXT_DIR.fetch_add(1, Ordering::Relaxed),
         scale.multiplier,
         scale.seed
     ));

@@ -11,6 +11,10 @@ use bdb_faults::FaultPlan;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide spill file counter; see [`SpillFile::write_with`].
+static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
 
 /// A sorted run of `(key, value)` pairs persisted to a temporary file.
 ///
@@ -57,7 +61,11 @@ impl SpillFile {
         pairs: &[(K, V)],
         faults: &FaultPlan,
     ) -> std::io::Result<Self> {
-        let path = dir.join(format!("bdb-spill-{}-{task}a{attempt}-{seq}.run", std::process::id()));
+        // Engines running concurrently in one process (parallel tests,
+        // campaign rounds) share `dir`; the counter keeps their files apart.
+        let n = NEXT_FILE.fetch_add(1, Ordering::Relaxed);
+        let path =
+            dir.join(format!("bdb-spill-{}-{n}-{task}a{attempt}-{seq}.run", std::process::id()));
         let mut buf = Vec::new();
         for (k, v) in pairs {
             k.encode(&mut buf);

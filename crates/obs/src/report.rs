@@ -8,7 +8,7 @@
 //! runs directly.
 
 use crate::ServiceObservation;
-use bdb_telemetry::json::ObjectWriter;
+use bdb_telemetry::json::{write_array, ObjectWriter};
 
 fn service_json(out: &mut String, obs: &ServiceObservation) {
     let mut o = ObjectWriter::new(out);
@@ -67,25 +67,17 @@ fn service_json(out: &mut String, obs: &ServiceObservation) {
         c.field_u64("reconstructed", obs.chains_total).field_u64("complete", obs.chains_complete);
         c.finish();
     }
-    {
-        let buf = o.field_raw("alerts");
-        buf.push('[');
-        for (i, a) in obs.alerts.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let mut al = ObjectWriter::new(buf);
-            al.field_str("rule", &a.rule)
-                .field_str("severity", a.severity.label())
-                .field_str("slo", &a.slo)
-                .field_u64("window", a.window_index)
-                .field_u64("at_ms", a.at_ns / 1_000_000)
-                .field_f64("long_burn", round4(a.long_burn))
-                .field_f64("short_burn", round4(a.short_burn));
-            al.finish();
-        }
-        buf.push(']');
-    }
+    write_array(o.field_raw("alerts"), &obs.alerts, |buf, a| {
+        let mut al = ObjectWriter::new(buf);
+        al.field_str("rule", &a.rule)
+            .field_str("severity", a.severity.label())
+            .field_str("slo", &a.slo)
+            .field_u64("window", a.window_index)
+            .field_u64("at_ms", a.at_ns / 1_000_000)
+            .field_f64("long_burn", round4(a.long_burn))
+            .field_f64("short_burn", round4(a.short_burn));
+        al.finish();
+    });
     o.finish();
 }
 
@@ -100,17 +92,7 @@ pub fn render_report(seed: u64, observations: &[ServiceObservation]) -> String {
     let mut o = ObjectWriter::new(&mut out);
     o.field_str("schema", "bdb-slo-report-v1").field_u64("seed", seed);
     o.field_u64("services_observed", observations.len() as u64);
-    {
-        let buf = o.field_raw("services");
-        buf.push('[');
-        for (i, obs) in observations.iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            service_json(buf, obs);
-        }
-        buf.push(']');
-    }
+    write_array(o.field_raw("services"), observations, service_json);
     o.finish();
     out.push('\n');
     out

@@ -6,7 +6,7 @@
 //! `"ph":"i"`, counters become `"ph":"C"` samples, and process/thread
 //! names are attached via `"ph":"M"` metadata events.
 
-use crate::json::ObjectWriter;
+use crate::json::{ArrayWriter, ObjectWriter};
 use crate::metrics::MetricsRegistry;
 use crate::span::{ArgValue, SpanEvent, SpanRecorder};
 use std::collections::BTreeSet;
@@ -103,26 +103,14 @@ pub fn chrome_trace_json_with_tracks(
     tracks: &[CounterTrack],
 ) -> String {
     let mut out = String::with_capacity(128 + events.len() * 96);
-    out.push('[');
-    let mut first = true;
-    let mut emit = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-    };
-
-    emit(&mut out);
-    write_metadata(&mut out, "process_name", None, process_name);
+    let mut array = ArrayWriter::lines(&mut out, "");
+    write_metadata(array.item(), "process_name", None, process_name);
     let tids: BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
     for tid in tids {
-        emit(&mut out);
-        write_metadata(&mut out, "thread_name", Some(tid), &format!("worker-{tid}"));
+        write_metadata(array.item(), "thread_name", Some(tid), &format!("worker-{tid}"));
     }
     for e in events {
-        emit(&mut out);
-        write_event(&mut out, e);
+        write_event(array.item(), e);
         // Span args keyed `counter.*` are performance-counter deltas
         // (see `CounterSnapshot::named_counters` in bdb-archsim): also
         // emit each as a "ph":"C" sample at the span's end so Perfetto
@@ -130,25 +118,23 @@ pub fn chrome_trace_json_with_tracks(
         let sample_ts = e.start_us + e.dur_us.unwrap_or(0);
         for (k, v) in &e.args {
             if let (true, ArgValue::Int(i)) = (k.starts_with("counter."), v) {
-                emit(&mut out);
-                write_counter_sample(&mut out, sample_ts, k, (*i).max(0) as u64);
+                write_counter_sample(array.item(), sample_ts, k, (*i).max(0) as u64);
             }
         }
     }
     for track in tracks {
         for &(ts, value) in &track.samples {
-            emit(&mut out);
-            write_counter_sample(&mut out, ts, &track.name, value);
+            write_counter_sample(array.item(), ts, &track.name, value);
         }
     }
     if let Some(metrics) = metrics {
         let end_ts = events.iter().map(|e| e.start_us + e.dur_us.unwrap_or(0)).max().unwrap_or(0);
         for (name, value) in metrics.counter_values() {
-            emit(&mut out);
-            write_counter_sample(&mut out, end_ts, &name, value);
+            write_counter_sample(array.item(), end_ts, &name, value);
         }
     }
-    out.push_str("\n]\n");
+    array.finish();
+    out.push('\n');
     out
 }
 

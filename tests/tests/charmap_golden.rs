@@ -108,7 +108,7 @@ fn committed_repo_artifacts_are_mutually_consistent() {
     for name in &baseline.subset {
         assert!(baseline.workloads.contains(name), "{name} is a tracked workload");
         // Every representative must be gateable against the committed
-        // bench baseline: compare_json_subset requires it there.
+        // bench baseline: compare_json with a subset requires it there.
         assert!(
             bench.contains(&format!("\"name\":\"{name}\"")),
             "{name} present in BENCH_RESULTS.json"

@@ -6,6 +6,7 @@
 //! single [`Cache`] simulates one level; [`crate::MachineSim`] wires
 //! levels into a hierarchy.
 
+use crate::lru::{blocks, LruSets};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -117,13 +118,6 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// One set: tags ordered most-recently-used first.
-#[derive(Debug, Clone, Default)]
-struct Set {
-    /// MRU-first tag list, length ≤ associativity.
-    lru: Vec<u64>,
-}
-
 /// A single set-associative, true-LRU cache level.
 ///
 /// Addresses are byte addresses; the cache operates on aligned lines.
@@ -140,21 +134,16 @@ struct Set {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Set>,
-    stats: CacheStats,
-    num_sets: u64,
+    tags: LruSets,
     line_shift: u32,
 }
 
 impl Cache {
     /// Builds an empty (all-invalid) cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
         Self {
-            num_sets: sets as u64,
+            tags: LruSets::new(config.sets(), config.associativity),
             line_shift: config.line_size.trailing_zeros(),
-            sets: vec![Set::default(); sets],
-            stats: CacheStats::default(),
             config,
         }
     }
@@ -166,7 +155,7 @@ impl Cache {
 
     /// Access counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.tags.stats()
     }
 
     /// Line size in bytes.
@@ -178,64 +167,29 @@ impl Cache {
     /// statistics. Returns `true` on a hit. On a miss the line is filled
     /// (write-allocate), evicting the LRU way if the set is full.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        self.stats.accesses += 1;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lru.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.lru.remove(pos);
-            set.lru.insert(0, t);
-            true
-        } else {
-            self.stats.misses += 1;
-            set.lru.insert(0, tag);
-            if set.lru.len() > self.config.associativity {
-                set.lru.pop();
-            }
-            false
-        }
+        self.tags.access(addr >> self.line_shift)
     }
 
     /// Accesses every line overlapped by `[addr, addr + bytes)`, returning
-    /// the number of lines that missed.
+    /// the number of lines that missed. A zero-byte range touches nothing.
     pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
-        debug_assert!(bytes > 0);
-        let line = self.config.line_size as u64;
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut misses = 0;
-        let mut a = first;
-        loop {
-            if !self.access(a) {
-                misses += 1;
-            }
-            if a == last {
-                break;
-            }
-            a += line;
-        }
-        misses
+        blocks(addr, bytes, self.line_shift).filter(|&line| !self.tags.access(line)).count() as u64
     }
 
     /// Zeroes the statistics while keeping cache contents (for
     /// ramp-up/warm-measurement protocols).
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        self.tags.reset_stats();
     }
 
     /// Invalidates all lines and zeroes the statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.lru.clear();
-        }
-        self.stats = CacheStats::default();
+        self.tags.reset();
     }
 
     /// Number of currently valid lines (for tests and debugging).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.lru.len()).sum()
+        self.tags.resident()
     }
 }
 
@@ -294,6 +248,15 @@ mod tests {
         let misses = c.access_range(60, 8); // crosses the 64B boundary
         assert_eq!(misses, 2);
         assert_eq!(c.stats().accesses, 2);
+    }
+
+    #[test]
+    fn zero_byte_range_touches_nothing() {
+        let mut c = tiny();
+        assert_eq!(c.access_range(0, 0), 0);
+        assert_eq!(c.access_range(128, 0), 0);
+        assert_eq!(c.stats(), CacheStats::default());
+        assert_eq!(c.resident_lines(), 0);
     }
 
     #[test]

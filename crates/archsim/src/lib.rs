@@ -39,6 +39,7 @@
 
 pub mod cache;
 pub mod layout;
+mod lru;
 pub mod machine;
 pub mod metrics;
 pub mod probe;

@@ -7,6 +7,7 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::layout::CodeRegion;
+use crate::lru::blocks;
 use crate::metrics::{CharacterizationReport, CounterSnapshot, InstructionMix};
 use crate::timing::TimingModel;
 use crate::tlb::{Tlb, TlbConfig};
@@ -186,11 +187,9 @@ impl MachineSim {
 
     /// Walks each line of `[addr, addr+bytes)` through L1→L2→L3.
     fn walk_lines(&mut self, addr: u64, bytes: u64, instruction: bool) {
-        let line = self.l2.line_size() as u64;
-        let first = addr & !(line - 1);
-        let last = (addr + bytes - 1) & !(line - 1);
-        let mut a = first;
-        loop {
+        let shift = self.l2.line_size().trailing_zeros();
+        for line in blocks(addr, bytes, shift) {
+            let a = line << shift;
             let l1 = if instruction { &mut self.l1i } else { &mut self.l1d };
             if !l1.access(a) {
                 if self.l2.access(a) {
@@ -205,10 +204,6 @@ impl MachineSim {
                     self.llc_misses += 1;
                 }
             }
-            if a == last {
-                break;
-            }
-            a += line;
         }
     }
 

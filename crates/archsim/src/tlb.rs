@@ -5,6 +5,7 @@
 //! 6-2); both are instances of [`Tlb`] inside [`crate::MachineSim`].
 
 use crate::cache::CacheStats;
+use crate::lru::{blocks, LruSets};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of a TLB.
@@ -25,9 +26,9 @@ impl TlbConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not divisible by `associativity`, the
-    /// resulting set count is not a power of two, or `page_size` is not a
-    /// power of two.
+    /// Panics if either count is zero, `entries` is not divisible by
+    /// `associativity`, or `page_size` is not a power of two. The set
+    /// count may be any positive number.
     pub fn new(name: &str, entries: usize, associativity: usize, page_size: usize) -> Self {
         assert!(entries > 0 && associativity > 0);
         assert_eq!(entries % associativity, 0, "entries must divide by ways");
@@ -55,21 +56,16 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<u64>>,
-    stats: CacheStats,
-    num_sets: u64,
+    tags: LruSets,
     page_shift: u32,
 }
 
 impl Tlb {
     /// Builds an empty TLB.
     pub fn new(config: TlbConfig) -> Self {
-        let sets = config.sets();
         Self {
-            num_sets: sets as u64,
+            tags: LruSets::new(config.sets(), config.associativity),
             page_shift: config.page_size.trailing_zeros(),
-            sets: vec![Vec::new(); sets],
-            stats: CacheStats::default(),
             config,
         }
     }
@@ -81,63 +77,30 @@ impl Tlb {
 
     /// Access counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.tags.stats()
     }
 
     /// Translates the page containing byte address `addr`, returning
     /// `true` on a TLB hit and updating LRU state.
     pub fn access(&mut self, addr: u64) -> bool {
-        let vpn = addr >> self.page_shift;
-        let set_idx = (vpn % self.num_sets) as usize;
-        let tag = vpn / self.num_sets;
-        self.stats.accesses += 1;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.insert(0, t);
-            true
-        } else {
-            self.stats.misses += 1;
-            set.insert(0, tag);
-            if set.len() > self.config.associativity {
-                set.pop();
-            }
-            false
-        }
+        self.tags.access(addr >> self.page_shift)
     }
 
     /// Translates every page overlapped by `[addr, addr + bytes)`,
-    /// returning the number of pages that missed.
+    /// returning the number of pages that missed. A zero-byte range
+    /// touches nothing.
     pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
-        debug_assert!(bytes > 0);
-        let page = self.config.page_size as u64;
-        let first = addr & !(page - 1);
-        let last = (addr + bytes - 1) & !(page - 1);
-        let mut misses = 0;
-        let mut a = first;
-        loop {
-            if !self.access(a) {
-                misses += 1;
-            }
-            if a == last {
-                break;
-            }
-            a += page;
-        }
-        misses
+        blocks(addr, bytes, self.page_shift).filter(|&vpn| !self.tags.access(vpn)).count() as u64
     }
 
     /// Zeroes the statistics while keeping TLB contents.
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        self.tags.reset_stats();
     }
 
     /// Invalidates all entries and zeroes the statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.stats = CacheStats::default();
+        self.tags.reset();
     }
 }
 
@@ -176,6 +139,14 @@ mod tests {
         let mut t = tiny();
         let misses = t.access_range(4090, 10);
         assert_eq!(misses, 2);
+    }
+
+    #[test]
+    fn zero_byte_range_touches_nothing() {
+        let mut t = tiny();
+        assert_eq!(t.access_range(0, 0), 0);
+        assert_eq!(t.access_range(8192, 0), 0);
+        assert_eq!(t.stats(), CacheStats::default());
     }
 
     #[test]

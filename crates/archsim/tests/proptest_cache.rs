@@ -1,10 +1,89 @@
 //! Property-based invariants of the cache/TLB/machine simulators.
 
-use bdb_archsim::{Cache, CacheConfig, MachineConfig, MachineSim, Tlb, TlbConfig};
+use bdb_archsim::{Cache, CacheConfig, CacheStats, MachineConfig, MachineSim, Tlb, TlbConfig};
 use proptest::prelude::*;
 
 fn small_cache() -> Cache {
     Cache::new(CacheConfig::new("t", 4096, 4, 64))
+}
+
+/// Oracle for the differential tests: the tag store archsim used before
+/// its flat one, one heap `Vec` per set holding tags most recently used
+/// first.
+struct VecLru {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    block_shift: u32,
+    stats: CacheStats,
+}
+
+impl VecLru {
+    fn new(sets: usize, ways: usize, block_size: usize) -> Self {
+        Self {
+            sets: vec![Vec::new(); sets],
+            ways,
+            block_shift: block_size.trailing_zeros(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let block = addr >> self.block_shift;
+        let num_sets = self.sets.len() as u64;
+        let tag = block / num_sets;
+        let set = &mut self.sets[(block % num_sets) as usize];
+        self.stats.accesses += 1;
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
+            let t = set.remove(pos);
+            set.insert(0, t);
+            true
+        } else {
+            self.stats.misses += 1;
+            set.insert(0, tag);
+            if set.len() > self.ways {
+                set.pop();
+            }
+            false
+        }
+    }
+
+    fn resident(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// Address traces for the differential tests: mostly offsets inside a
+/// window of `window` bytes (so sets fill, hit and evict), some anywhere
+/// below `u64::MAX / 2`, all shifted by a base that is zero or far out.
+fn trace(window: u64) -> impl Strategy<Value = Vec<u64>> {
+    let base = prop_oneof![Just(0u64), 0u64..u64::MAX / 4];
+    let offset = prop_oneof![8 => 0..window, 1 => 0u64..u64::MAX / 4];
+    (base, proptest::collection::vec(offset, 1..1500))
+        .prop_map(|(base, offsets)| offsets.into_iter().map(|o| base + o).collect())
+}
+
+/// Replays `addrs` through `cache` and a [`VecLru`] of the same geometry,
+/// requiring the same hit/miss sequence, counters and occupancy.
+fn cache_matches_oracle(config: CacheConfig, addrs: &[u64]) -> Result<(), TestCaseError> {
+    let mut oracle = VecLru::new(config.sets(), config.associativity, config.line_size);
+    let mut cache = Cache::new(config);
+    for (i, &a) in addrs.iter().enumerate() {
+        prop_assert_eq!(cache.access(a), oracle.access(a), "access {} to {:#x}", i, a);
+    }
+    prop_assert_eq!(cache.stats(), oracle.stats);
+    prop_assert_eq!(cache.resident_lines(), oracle.resident());
+    Ok(())
+}
+
+/// As [`cache_matches_oracle`], for a TLB.
+fn tlb_matches_oracle(config: TlbConfig, addrs: &[u64]) -> Result<(), TestCaseError> {
+    let mut oracle = VecLru::new(config.sets(), config.associativity, config.page_size);
+    let mut tlb = Tlb::new(config);
+    for (i, &a) in addrs.iter().enumerate() {
+        prop_assert_eq!(tlb.access(a), oracle.access(a), "access {} to {:#x}", i, a);
+    }
+    prop_assert_eq!(tlb.stats(), oracle.stats);
+    Ok(())
 }
 
 proptest! {
@@ -66,6 +145,28 @@ proptest! {
             }
         }
         prop_assert_eq!(c.stats().misses, distinct.len() as u64);
+    }
+
+    /// The flat tag store behaves exactly like the per-set `Vec` LRU on a
+    /// power-of-two geometry (16 sets x 4 ways).
+    #[test]
+    fn cache_matches_vec_lru_pow2_sets(addrs in trace(4 * 4096)) {
+        cache_matches_oracle(CacheConfig::new("pow2", 4096, 4, 64), &addrs)?;
+    }
+
+    /// ... and on a set count that is not a power of two (12 sets x 4
+    /// ways, shaped like the E5645 L3's 12,288 x 16), which splits set
+    /// and tag by division.
+    #[test]
+    fn cache_matches_vec_lru_non_pow2_sets(addrs in trace(4 * 3072)) {
+        cache_matches_oracle(CacheConfig::new("l3-shaped", 12 * 4 * 64, 4, 64), &addrs)?;
+    }
+
+    /// TLBs share the store: power-of-two (16 sets) and not (12 sets).
+    #[test]
+    fn tlb_matches_vec_lru(addrs in trace(4 * 64 * 4096)) {
+        tlb_matches_oracle(TlbConfig::new("pow2", 64, 4, 4096), &addrs)?;
+        tlb_matches_oracle(TlbConfig::new("non-pow2", 48, 4, 4096), &addrs)?;
     }
 
     /// TLB: misses bounded, page-granular hits.

@@ -31,6 +31,20 @@ fn bench_sim(c: &mut Criterion) {
         })
     });
 
+    // An 8 MiB window is 32x the L2 but fits the 12 MiB L3: once warm,
+    // most loads miss L2 and hit the L3, whose 12,288 sets are not a
+    // power of two.
+    group.bench_function("l3_resident_random_10k", |b| {
+        let mut m = MachineSim::new(MachineConfig::xeon_e5645());
+        let mut x = 0x12345u64;
+        b.iter(|| {
+            for _ in 0..10_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                m.data_access((x >> 16) % (8 << 20), 8, false);
+            }
+        })
+    });
+
     group.bench_function("ifetch_10k", |b| {
         let mut m = MachineSim::new(MachineConfig::xeon_e5645());
         let region = bdb_archsim::CodeRegion::sized(0x400000, 4096);

@@ -20,6 +20,7 @@ use bdb_telemetry::{span, MetricsRegistry, SpanGuard, SpanRecorder};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -151,16 +152,9 @@ struct ReduceOutcome<O> {
 /// the same task and accrued in [`JobStats::retry_backoff`] as virtual
 /// time.
 const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(10);
-/// A running task is never speculated before this much wall-clock.
-const SPECULATION_FLOOR: Duration = Duration::from_millis(25);
-/// ... nor before it is this many times slower than the median
-/// completed task.
-const SPECULATION_FACTOR: u32 = 4;
-/// Speculation needs a population to judge stragglers against.
-const SPECULATION_MIN_TASKS: usize = 4;
 
-/// Which phase the scheduler is executing; controls speculation and the
-/// recovery-metric site.
+/// Which phase the scheduler is executing; names the recovery-metric
+/// site.
 #[derive(Debug, Clone, Copy)]
 enum TaskPhase {
     Map,
@@ -168,13 +162,6 @@ enum TaskPhase {
 }
 
 impl TaskPhase {
-    /// Only map tasks are speculated (Hadoop speculates reduces too,
-    /// but our reduce inputs live in the map tasks' spill files — one
-    /// partition per reducer keeps the model simple).
-    fn speculates(self) -> bool {
-        matches!(self, Self::Map)
-    }
-
     fn site(self) -> &'static str {
         match self {
             Self::Map => crate::sites::MAP_TASK,
@@ -192,8 +179,6 @@ struct TaskState {
     failures: u32,
     /// Attempts currently executing.
     running: u32,
-    /// When the first attempt started (straggler clock).
-    first_start: Option<Instant>,
     /// The attempt number launched speculatively, if any.
     speculative_attempt: Option<u32>,
     /// Whether a winning result has been recorded.
@@ -215,8 +200,6 @@ struct Board<T> {
     pending: VecDeque<usize>,
     tasks: Vec<TaskState>,
     results: Vec<Option<T>>,
-    /// Wall-clock of completed tasks, for the straggler median.
-    durations: Vec<Duration>,
     completed: usize,
     fatal: Option<JobError>,
     stats: SchedStats,
@@ -240,24 +223,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Picks a straggling task worth a speculative attempt: running, never
-/// speculated, never failed (a retried task's straggler clock is
-/// stale), and slow relative to both an absolute floor and the median
-/// completed-task duration — Hadoop's heuristic in miniature.
-fn speculation_candidate<T>(board: &Board<T>, ntasks: usize) -> Option<usize> {
-    if ntasks < SPECULATION_MIN_TASKS || board.completed < ntasks / 2 {
-        return None;
-    }
-    let mut durs = board.durations.clone();
-    durs.sort_unstable();
-    let median = durs.get(durs.len() / 2).copied().unwrap_or(Duration::ZERO);
-    let threshold = SPECULATION_FLOOR.max(median * SPECULATION_FACTOR);
-    board.tasks.iter().enumerate().find_map(|(tid, t)| {
-        let straggling = !t.done
-            && t.running > 0
-            && t.speculative_attempt.is_none()
-            && t.failures == 0
-            && t.first_start.is_some_and(|s| s.elapsed() > threshold);
-        straggling.then_some(tid)
+/// speculated, and with a straggled attempt (`straggled[tid] > 0`).
+/// The signal is the fault plan's straggle, not the wall clock, so a
+/// loaded host speculates on exactly the tasks an idle one does and a
+/// fault-free run never speculates.
+fn speculation_candidate<T>(board: &Board<T>, straggled: &[AtomicU32]) -> Option<usize> {
+    board.tasks.iter().zip(straggled).position(|(t, n)| {
+        !t.done && t.running > 0 && t.speculative_attempt.is_none() && n.load(Ordering::Relaxed) > 0
     })
 }
 
@@ -424,9 +396,12 @@ impl Engine {
         let map_start = Instant::now();
         let chunk = inputs.len().div_ceil(self.threads).max(1);
         let chunks: Vec<&[J::Input]> = inputs.chunks(chunk).collect();
+        // Straggled attempts per map task: the speculation signal and,
+        // once the phase completes, recoveries.
+        let straggled: Vec<AtomicU32> = chunks.iter().map(|_| AtomicU32::new(0)).collect();
         let (task_results, map_sched) = {
             let _map_span = span!(self.telemetry, "mapreduce", "map-phase");
-            self.run_tasks(chunks.len(), TaskPhase::Map, |task_id, attempt| {
+            self.run_tasks(chunks.len(), TaskPhase::Map, &straggled, |task_id, attempt| {
                 let records = chunks[task_id];
                 let mut task_span = span!(
                     self.telemetry,
@@ -437,6 +412,7 @@ impl Engine {
                     records = records.len()
                 );
                 if let Some(delay) = self.faults.straggle(crate::sites::MAP_STRAGGLER) {
+                    straggled[task_id].fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(delay);
                 }
                 self.faults.maybe_panic(crate::sites::MAP_TASK);
@@ -455,6 +431,12 @@ impl Engine {
                 Ok(r)
             })?
         };
+        // Every task completed, so every straggled attempt was outlived,
+        // whether its own copy or a speculative twin finished first: that
+        // race is wall-clock, the recovery count must not be.
+        for _ in 0..straggled.iter().map(|n| n.load(Ordering::Relaxed)).sum::<u32>() {
+            self.faults.note_recovered(crate::sites::MAP_TASK);
+        }
         for r in &task_results {
             stats.map_records += r.records;
             stats.map_output_pairs += r.output_pairs;
@@ -486,7 +468,10 @@ impl Engine {
             }
         }
         let (reduced, reduce_sched) =
-            self.run_tasks(partitions.len(), TaskPhase::Reduce, |p, attempt| {
+            // Only map tasks are speculated (Hadoop speculates reduces
+            // too, but our reduce inputs live in the map tasks' spill
+            // files — one partition per reducer keeps the model simple).
+            self.run_tasks(partitions.len(), TaskPhase::Reduce, &[], |p, attempt| {
                 let (runs, spills) = &partitions[p];
                 let mut part_span = span!(
                     self.telemetry,
@@ -542,13 +527,15 @@ impl Engine {
     }
 
     /// Executes `ntasks` independent tasks on the worker pool with
-    /// bounded retries and (for map phases) speculative execution.
-    /// Results come back indexed by task id, so output order never
-    /// depends on scheduling.
+    /// bounded retries and speculative execution of the tasks whose
+    /// `straggled` count an attempt raised (an empty slice turns
+    /// speculation off). Results come back indexed by task id, so output
+    /// order never depends on scheduling.
     fn run_tasks<T, F>(
         &self,
         ntasks: usize,
         phase: TaskPhase,
+        straggled: &[AtomicU32],
         run_attempt: F,
     ) -> Result<(Vec<T>, SchedStats), JobError>
     where
@@ -562,7 +549,6 @@ impl Engine {
             pending: (0..ntasks).collect(),
             tasks: (0..ntasks).map(|_| TaskState::default()).collect(),
             results: (0..ntasks).map(|_| None).collect(),
-            durations: Vec::new(),
             completed: 0,
             fatal: None,
             stats: SchedStats::default(),
@@ -571,7 +557,7 @@ impl Engine {
         let workers = self.threads.clamp(1, ntasks);
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| self.worker_loop(&board, &idle, ntasks, phase, &run_attempt));
+                s.spawn(|| self.worker_loop(&board, &idle, ntasks, phase, straggled, &run_attempt));
             }
         });
         let board = board.into_inner().expect("board lock");
@@ -592,6 +578,7 @@ impl Engine {
         idle: &Condvar,
         ntasks: usize,
         phase: TaskPhase,
+        straggled: &[AtomicU32],
         run_attempt: &F,
     ) where
         T: Send,
@@ -604,23 +591,17 @@ impl Engine {
             }
             let claim = match guard.pending.pop_front() {
                 Some(tid) => Some((tid, false)),
-                None if phase.speculates() => {
-                    speculation_candidate(&guard, ntasks).map(|tid| (tid, true))
-                }
-                None => None,
+                None => speculation_candidate(&guard, straggled).map(|tid| (tid, true)),
             };
             let Some((tid, speculative)) = claim else {
                 // Idle: wake on completions/failures, or after a short
-                // timeout to re-check straggler speculation eligibility.
+                // timeout to pick up a newly straggling attempt.
                 guard = idle.wait_timeout(guard, Duration::from_millis(2)).expect("board lock").0;
                 continue;
             };
             let attempt = guard.tasks[tid].attempts;
             guard.tasks[tid].attempts += 1;
             guard.tasks[tid].running += 1;
-            if guard.tasks[tid].first_start.is_none() {
-                guard.tasks[tid].first_start = Some(Instant::now());
-            }
             if speculative {
                 guard.tasks[tid].speculative_attempt = Some(attempt);
                 guard.stats.speculative_tasks += 1;
@@ -637,22 +618,25 @@ impl Engine {
             guard.tasks[tid].running -= 1;
             if guard.tasks[tid].done {
                 // A lost speculative twin (or a failure after the task
-                // already completed) is moot.
+                // already completed) is moot; a failed one was outlived.
+                if outcome.is_err() {
+                    self.faults.note_recovered(phase.site());
+                }
                 continue;
             }
             match outcome {
                 Ok(value) => {
                     let won_speculatively = guard.tasks[tid].speculative_attempt == Some(attempt);
-                    let recovered = guard.tasks[tid].failures > 0 || won_speculatively;
                     guard.tasks[tid].done = true;
-                    let dur = guard.tasks[tid].first_start.map_or(Duration::ZERO, |s| s.elapsed());
                     guard.results[tid] = Some(value);
-                    guard.durations.push(dur);
                     guard.completed += 1;
                     if won_speculatively {
                         guard.stats.speculative_wins += 1;
                     }
-                    if recovered {
+                    // One recovery per failed attempt the task outlived:
+                    // two faults landing on one task are two recoveries,
+                    // whichever attempts the scheduler handed them to.
+                    for _ in 0..guard.tasks[tid].failures {
                         self.faults.note_recovered(phase.site());
                     }
                 }

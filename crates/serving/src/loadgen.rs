@@ -327,6 +327,18 @@ mod tests {
         }
     }
 
+    /// One worker's capacity in requests/s: the inverse of the median
+    /// service time over a closed-loop run. The offered-load simulation
+    /// also works from per-request service times, so this leaves out
+    /// host time between requests (which a run's `achieved_rps` counts),
+    /// and a request preempted on a loaded host cannot skew it.
+    fn capacity(s: &mut Spin) -> f64 {
+        let r = run_closed_loop(s, 500, 2);
+        let mut service_ns: Vec<u64> = r.records.iter().map(|r| r.service_ns).collect();
+        service_ns.sort_unstable();
+        1e9 / service_ns[service_ns.len() / 2].max(1) as f64
+    }
+
     #[test]
     fn closed_loop_measures_throughput() {
         let mut s = Spin;
@@ -342,7 +354,7 @@ mod tests {
     fn offered_load_tracks_then_saturates() {
         let mut s = Spin;
         // Measure capacity via closed loop first.
-        let capacity = run_closed_loop(&mut s, 500, 2).achieved_rps;
+        let capacity = capacity(&mut s);
         let light = run_offered_load(&mut s, capacity * 0.05, Duration::from_secs(5), 1, 200, 3);
         assert!(
             (light.achieved_rps - capacity * 0.05).abs() / (capacity * 0.05) < 0.15,
@@ -358,7 +370,7 @@ mod tests {
     #[test]
     fn shaped_load_reports_and_counts_drops() {
         let mut s = Spin;
-        let capacity = run_closed_loop(&mut s, 500, 2).achieved_rps;
+        let capacity = capacity(&mut s);
         let policy =
             QueuePolicy { queue_capacity: Some(4), deadline: Some(Duration::from_millis(10)) };
         let metrics = MetricsRegistry::new();

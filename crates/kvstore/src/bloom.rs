@@ -95,7 +95,7 @@ impl BloomFilter {
         let hashes = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
         let words = (num_bits as usize).div_ceil(64);
         let rest = &bytes[12..];
-        if rest.len() != words * 8 || hashes == 0 {
+        if rest.len() != words * 8 || hashes == 0 || num_bits == 0 {
             return None;
         }
         let bits = rest
@@ -178,6 +178,9 @@ mod tests {
     fn from_bytes_rejects_garbage() {
         assert!(BloomFilter::from_bytes(&[]).is_none());
         assert!(BloomFilter::from_bytes(&[0; 11]).is_none());
+        let mut empty = [0; 12];
+        empty[8] = 1; // one hash over zero bits
+        assert!(BloomFilter::from_bytes(&empty).is_none());
         let mut ok = BloomFilter::for_items(10, 0.1).to_bytes();
         ok.pop();
         assert!(BloomFilter::from_bytes(&ok).is_none());

@@ -25,6 +25,14 @@ impl Entry {
         }
     }
 
+    /// The live value, if any, moved out.
+    pub fn into_value(self) -> Option<Vec<u8>> {
+        match self {
+            Entry::Value(v) => Some(v),
+            Entry::Tombstone => None,
+        }
+    }
+
     fn byte_size(&self) -> usize {
         match self {
             Entry::Value(v) => v.len(),

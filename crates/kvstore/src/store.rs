@@ -8,7 +8,6 @@ use bdb_archsim::layout::splitmix64;
 use bdb_archsim::{NullProbe, Probe};
 use bdb_faults::FaultPlan;
 use bdb_telemetry::{span, Counter, MetricsRegistry, SpanRecorder};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Tuning knobs for [`Store`].
@@ -367,7 +366,7 @@ impl Store {
                 if let (Some(t), Some(b)) = (self.trace.as_mut(), table.block_for(key)) {
                     t.block_read(probe, table_id, b, 4096);
                 }
-                return Ok(entry.value().map(<[u8]>::to_vec));
+                return Ok(entry.into_value());
             }
         }
         Ok(None)
@@ -398,26 +397,25 @@ impl Store {
         if let Some(t) = self.trace.as_mut() {
             t.on_op(probe);
         }
-        // Oldest-to-newest overlay: later inserts win.
-        let mut merged: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
+        // Oldest version first: tables oldest to newest, then the memtable.
+        let mut rows = Vec::new();
         for (i, table) in self.tables.iter().enumerate().rev() {
             let table_id = self.next_table_id.wrapping_sub(i as u64);
-            let rows = table.scan(start, end)?;
+            let found = table.scan(start, end)?;
             if let Some(t) = self.trace.as_mut() {
                 t.index_search(probe, table_id, table.block_count());
-                t.block_read(probe, table_id, hash_key(start) as usize, rows.len() * 64);
+                t.block_read(probe, table_id, hash_key(start) as usize, found.len() * 64);
             }
-            for (k, e) in rows {
-                merged.insert(k, e);
-            }
+            rows.extend(found);
         }
         for (k, e) in self.memtable.range(start, end) {
             if self.trace.is_some() {
                 probe.load(splitmix64(hash_key(k)) | 1 << 45, 64);
             }
-            merged.insert(k.to_vec(), e.clone());
+            rows.push((k.to_vec(), e.clone()));
         }
-        Ok(merged.into_iter().filter_map(|(k, e)| e.value().map(|v| (k, v.to_vec()))).collect())
+        keep_newest(&mut rows);
+        Ok(rows.into_iter().filter_map(|(k, e)| Some((k, e.into_value()?))).collect())
     }
 
     /// Forces a memtable flush (used by tests and shutdown paths).
@@ -497,19 +495,17 @@ impl Store {
             return Ok(());
         }
         let _compact = span!(self.telemetry, "kvstore", "compaction", tables = self.tables.len());
-        // Oldest-to-newest overlay merge.
-        let mut merged: BTreeMap<Vec<u8>, Entry> = BTreeMap::new();
+        // Oldest table first, so the versions of each key are oldest first.
+        let mut rows = Vec::with_capacity(self.tables.iter().map(|t| t.len() as usize).sum());
         for table in self.tables.iter().rev() {
-            for (k, e) in table.iter_all()? {
-                merged.insert(k, e);
-            }
+            rows.extend(table.iter_all()?);
         }
-        let entries: Vec<(Vec<u8>, Entry)> =
-            merged.into_iter().filter(|(_, e)| matches!(e, Entry::Value(_))).collect();
+        keep_newest(&mut rows);
+        rows.retain(|(_, e)| matches!(e, Entry::Value(_)));
         let id = self.next_table_id;
         let new_table = match SsTable::build_with(
             &table_path(&self.dir, id),
-            &entries,
+            &rows,
             &self.faults,
             crate::sites::COMPACTION_WRITE,
         ) {
@@ -539,6 +535,20 @@ impl Store {
 
 fn table_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("table-{id:012}.sst"))
+}
+
+/// Sorts `rows`, which hold the versions of each key oldest first, by
+/// key and keeps only the newest version of each key.
+fn keep_newest(rows: &mut Vec<(Vec<u8>, Entry)>) {
+    // Stable: the versions of a key stay oldest first.
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    // `dedup_by` keeps the first of a run; swapping makes that the newest.
+    rows.dedup_by(|next, kept| {
+        next.0 == kept.0 && {
+            std::mem::swap(next, kept);
+            true
+        }
+    });
 }
 
 fn hash_key(key: &[u8]) -> u64 {

@@ -27,8 +27,75 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Operations over rows large enough that a table spans many 4 KiB
+/// blocks: keys `1..=48` (so versions and tombstones shadow each other
+/// across tables), values of 200–1500 bytes, and scan bounds in
+/// `0..=50`, which start before the first key and end past the last.
+fn multi_block_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (1u16..=48, 200usize..1500, any::<u8>())
+            .prop_map(|(k, len, byte)| Op::Put(k, vec![byte; len])),
+        1 => (1u16..=48).prop_map(Op::Delete),
+        3 => (1u16..=48).prop_map(Op::Get),
+        2 => (0u16..=50, 0u16..=50).prop_map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
+        1 => Just(Op::Flush),
+        1 => Just(Op::Compact),
+    ]
+}
+
 fn key_bytes(k: u16) -> Vec<u8> {
     format!("k{k:05}").into_bytes()
+}
+
+/// Replays `ops` against a store opened with `config` and a `BTreeMap`
+/// model, checking every get and scan, then every model key and one
+/// scan over `[key_bytes(0), key_bytes(u16::MAX))`.
+fn check_against_model(ops: &[Op], config: StoreConfig, tag: &str) -> Result<(), TestCaseError> {
+    let dir = std::env::temp_dir().join(format!(
+        "bdb-prop-{tag}-{}-{:x}",
+        std::process::id(),
+        rand_tag(ops)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = Store::open_with(&dir, config).expect("open");
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let model_range = |model: &BTreeMap<Vec<u8>, Vec<u8>>, a: u16, b: u16| {
+        model
+            .range(key_bytes(a)..key_bytes(b))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect::<Vec<_>>()
+    };
+    for op in ops {
+        match op {
+            Op::Put(k, v) => {
+                store.put(key_bytes(*k), v.clone()).expect("put");
+                model.insert(key_bytes(*k), v.clone());
+            }
+            Op::Delete(k) => {
+                store.delete(&key_bytes(*k)).expect("delete");
+                model.remove(&key_bytes(*k));
+            }
+            Op::Get(k) => {
+                let got = store.get(&key_bytes(*k)).expect("get");
+                prop_assert_eq!(got.as_ref(), model.get(&key_bytes(*k)));
+            }
+            Op::Scan(a, b) => {
+                let got = store.scan(&key_bytes(*a), &key_bytes(*b)).expect("scan");
+                prop_assert_eq!(got, model_range(&model, *a, *b));
+            }
+            Op::Flush => store.flush().expect("flush"),
+            Op::Compact => store.compact().expect("compact"),
+        }
+    }
+    // Final sweep: every model key agrees, and so does a scan of all.
+    for (k, v) in &model {
+        let got = store.get(k).expect("get");
+        prop_assert_eq!(got.as_ref(), Some(v));
+    }
+    let got = store.scan(&key_bytes(0), &key_bytes(u16::MAX)).expect("scan");
+    prop_assert_eq!(got, model_range(&model, 0, u16::MAX));
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
 }
 
 proptest! {
@@ -38,50 +105,20 @@ proptest! {
     /// interleaving of mutations, flushes and compactions.
     #[test]
     fn store_matches_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let dir = std::env::temp_dir().join(format!(
-            "bdb-prop-{}-{:x}",
-            std::process::id(),
-            rand_tag(&ops)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = Store::open_with(
-            &dir,
-            StoreConfig { memtable_flush_bytes: 512, max_tables: 3, ..Default::default() },
-        )
-        .expect("open");
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                Op::Put(k, v) => {
-                    store.put(key_bytes(*k), v.clone()).expect("put");
-                    model.insert(key_bytes(*k), v.clone());
-                }
-                Op::Delete(k) => {
-                    store.delete(&key_bytes(*k)).expect("delete");
-                    model.remove(&key_bytes(*k));
-                }
-                Op::Get(k) => {
-                    let got = store.get(&key_bytes(*k)).expect("get");
-                    prop_assert_eq!(got.as_ref(), model.get(&key_bytes(*k)));
-                }
-                Op::Scan(a, b) => {
-                    let got = store.scan(&key_bytes(*a), &key_bytes(*b)).expect("scan");
-                    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(key_bytes(*a)..key_bytes(*b))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    prop_assert_eq!(got, expect);
-                }
-                Op::Flush => store.flush().expect("flush"),
-                Op::Compact => store.compact().expect("compact"),
-            }
-        }
-        // Final sweep: every model key agrees.
-        for (k, v) in &model {
-            let got = store.get(k).expect("get");
-            prop_assert_eq!(got.as_ref(), Some(v));
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        let config = StoreConfig { memtable_flush_bytes: 512, max_tables: 3, ..Default::default() };
+        check_against_model(&ops, config, "small")?;
+    }
+
+    /// The same check with multi-block tables: a 16 KiB memtable of
+    /// 200–1500-byte values, so scans span blocks, start mid-block and
+    /// cross tables whose versions shadow each other.
+    #[test]
+    fn store_matches_model_across_blocks(
+        ops in proptest::collection::vec(multi_block_op_strategy(), 1..200)
+    ) {
+        let config =
+            StoreConfig { memtable_flush_bytes: 16 << 10, max_tables: 3, ..Default::default() };
+        check_against_model(&ops, config, "blocks")?;
     }
 
     /// Recovery: reopening after arbitrary mutations preserves content.

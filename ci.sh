@@ -5,7 +5,8 @@
 #   ./ci.sh --fast         # skip the release build (debug build via tests)
 #   ./ci.sh --subset       # fast perf tier: gate only the representative
 #                          # workload subset from charmap.json
-#   ./ci.sh --bench-check  # also diff simulated perf vs BENCH_RESULTS.json
+#   ./ci.sh --bench-check  # with --fast: also diff simulated perf vs
+#                          # BENCH_RESULTS.json (the full gate always does)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -40,43 +41,30 @@ if ! cargo metadata --offline --locked --format-version 1 \
     exit 1
 fi
 
+# The `reproduce` binary owns its artifacts and gates: every file goes
+# through one writer that exits non-zero on a failed or empty write,
+# and every pass checks its own invariants in-process. So this script
+# runs passes and the cross-process determinism diff; it names no
+# artifact file except chaos_report.json. The file lists and the
+# --slo/--tsdb byte-diffs are checked by crates/bench/tests/cli.rs.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+reproduce() {
+    run cargo run --release -q -p bdb-bench --bin reproduce -- "$@"
+}
+
 if [ "$subset" -eq 1 ]; then
     # Representative-subset fast tier: run only the workloads the
     # characterization map selected (one per cluster, committed in
     # charmap.json) against the committed BENCH_RESULTS.json. This is
     # the cheap per-PR perf gate; the full gate re-derives the map and
-    # enforces the subset stability rule.
-    # The SLO pass rides along for the representative serving workload
-    # only (the committed subset holds no serving workload, so the pass
-    # falls back to Nutch); the binary gates the burn-rate alert and
-    # chain reconstruction in-process.
-    # One shortened chaos campaign rides along (--bench-subset makes
-    # --chaos pick the short fault schedules); the binary gates every
-    # invariant checker plus forced failover/read-repair in-process.
-    # A shortened time-series scrape rides along too (--bench-subset
-    # makes --tsdb shrink the traced-write run and both serving
-    # phases); the binary gates chain completeness, stored-vs-live
-    # quantile agreement and the recording-rule replay in-process.
-    slodir="$(mktemp -d)"
-    chaosdir="$(mktemp -d)"
-    tsdbdir="$(mktemp -d)"
-    trap 'rm -rf "$slodir" "$chaosdir" "$tsdbdir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.02 --bench-baseline BENCH_RESULTS.json \
-        --bench-subset charmap.json --slo "$slodir" --chaos 7 "$chaosdir" \
-        --tsdb "$tsdbdir"
-    if [ ! -s "$slodir/slo_report.json" ]; then
-        echo "ci: missing or empty slo_report.json in subset tier" >&2
-        exit 1
-    fi
-    if [ ! -s "$chaosdir/chaos_report.json" ]; then
-        echo "ci: missing or empty chaos_report.json in subset tier" >&2
-        exit 1
-    fi
-    if [ ! -s "$tsdbdir/tsdb_snapshot.bin" ] || [ ! -s "$tsdbdir/timeline.txt" ]; then
-        echo "ci: missing or empty tsdb artifacts in subset tier" >&2
-        exit 1
-    fi
+    # enforces the subset stability rule. With --bench-subset, the SLO
+    # pass observes the representative serving workload (Nutch when
+    # the subset holds none), and the chaos and tsdb passes run
+    # shortened campaigns and scrapes.
+    reproduce --fraction 0.02 --bench-baseline BENCH_RESULTS.json \
+        --bench-subset charmap.json --slo "$tmp/slo" --chaos 7 "$tmp/chaos" \
+        --tsdb "$tmp/tsdb"
     echo "ci: subset tier passed"
     exit 0
 fi
@@ -95,68 +83,17 @@ if [ "$fast" -eq 0 ]; then
 
     # Fault-injection smoke: WordCount with an injected spill error,
     # map-task panic and straggler must match the fault-free run.
-    run cargo run --release -q -p bdb-bench --bin reproduce -- --faults 42
+    reproduce --faults 42
 
-    # Profiling smoke: every traced workload must emit its flamegraph,
-    # critical-path and utilization artifacts (the binary itself
-    # additionally enforces WordCount critical-path coverage >= 90%).
-    profdir="$(mktemp -d)"
-    trap 'rm -rf "$profdir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.1 --profile "$profdir"
-    for stem in wordcount sort pagerank connectedcomponents kmeans \
-                nutchserver cloudoltp joinquery; do
-        for suffix in folded critpath.txt util.txt; do
-            f="$profdir/$stem.$suffix"
-            if [ ! -s "$f" ]; then
-                echo "ci: missing or empty profile artifact: $f" >&2
-                exit 1
-            fi
-        done
-    done
-    echo "ci: profile artifacts present for all traced workloads"
+    # Profiling smoke: the binary enforces WordCount critical-path
+    # coverage >= 90% and a blame table that partitions the path.
+    reproduce --fraction 0.1 --profile "$tmp/profile"
 
-    # Characterization-map smoke: recompute the workload map at the
-    # committed fraction and validate it against the committed
-    # charmap.json under the subset stability rule (same k, exactly
-    # one committed representative per fresh cluster). The binary also
-    # gates the retained-variance target in-process.
-    charmapdir="$(mktemp -d)"
-    trap 'rm -rf "$profdir" "$charmapdir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.02 --charmap "$charmapdir" \
-        --charmap-baseline charmap.json
-    for f in "$charmapdir/charmap.txt" "$charmapdir/charmap.json"; do
-        if [ ! -s "$f" ]; then
-            echo "ci: missing or empty charmap artifact: $f" >&2
-            exit 1
-        fi
-    done
-    echo "ci: charmap artifacts present and subset stable"
-
-    # Online-observability smoke: the serving tier's SLO pass must
-    # write the report plus a dashboard, Prometheus exposition and
-    # chain trace per service. The binary gates alert firing, chain
-    # completeness and tail agreement in-process; here we gate the
-    # artifacts' presence.
-    slodir="$(mktemp -d)"
-    trap 'rm -rf "$profdir" "$charmapdir" "$slodir"' EXIT
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --slo "$slodir"
-    if [ ! -s "$slodir/slo_report.json" ]; then
-        echo "ci: missing or empty slo_report.json" >&2
-        exit 1
-    fi
-    for stem in nutch-server olio-server rubis-server; do
-        for suffix in dash.txt slo.prom.txt slo.trace.json; do
-            f="$slodir/$stem.$suffix"
-            if [ ! -s "$f" ]; then
-                echo "ci: missing or empty SLO artifact: $f" >&2
-                exit 1
-            fi
-        done
-    done
-    echo "ci: SLO artifacts present for all serving workloads"
+    # Characterization map at the committed fraction, validated against
+    # the committed charmap.json under the subset stability rule (same
+    # k, exactly one committed representative per fresh cluster) and
+    # the retained-variance target.
+    reproduce --fraction 0.02 --charmap "$tmp/charmap" --charmap-baseline charmap.json
 
     # Vectorized-engine gate: the columnar kernels must equal the row
     # oracle exactly (values, row order, float bits) on random tables,
@@ -165,67 +102,26 @@ if [ "$fast" -eq 0 ]; then
     # match the committed BENCH_RESULTS.json within tolerance.
     run cargo test --release -q -p bdb-integration \
         --test columnar_differential --test columnar_vs_row_sim
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.02 --bench-baseline BENCH_RESULTS.json
-    echo "ci: columnar engine differential + perf gates passed"
+    reproduce --fraction 0.02 --bench-baseline BENCH_RESULTS.json
 
-    # Chaos-campaign gate: three fixed seeds run the full Cloud-OLTP,
-    # WordCount and serving campaigns under seeded fault schedules. The
-    # binary exits nonzero if any invariant checker fails or the OLTP
-    # campaign did not force at least one failover and one read-repair;
-    # here we additionally gate the report artifact and its
-    # byte-determinism (two runs of the same seed must diff clean).
-    chaosdir="$(mktemp -d)"
-    trap 'rm -rf "$profdir" "$charmapdir" "$slodir" "$chaosdir"' EXIT
+    # Chaos-campaign gate: three fixed seeds under seeded fault
+    # schedules; the binary exits nonzero if any invariant checker
+    # fails or the OLTP campaign forced no failover or read-repair.
+    # Two runs of seed 7 must write byte-identical reports.
     for seed in 7 21 1337; do
-        run cargo run --release -q -p bdb-bench --bin reproduce -- \
-            --chaos "$seed" "$chaosdir/seed-$seed"
-        if [ ! -s "$chaosdir/seed-$seed/chaos_report.json" ]; then
-            echo "ci: missing or empty chaos_report.json for seed $seed" >&2
-            exit 1
-        fi
+        reproduce --chaos "$seed" "$tmp/chaos-$seed"
     done
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --chaos 7 "$chaosdir/seed-7-again"
-    if ! cmp -s "$chaosdir/seed-7/chaos_report.json" \
-                "$chaosdir/seed-7-again/chaos_report.json"; then
+    reproduce --chaos 7 "$tmp/chaos-7-again"
+    if ! cmp -s "$tmp/chaos-7/chaos_report.json" "$tmp/chaos-7-again/chaos_report.json"; then
         echo "ci: chaos_report.json is not byte-deterministic for seed 7" >&2
         exit 1
     fi
-    echo "ci: chaos campaigns passed for seeds 7, 21, 1337 (deterministic)"
-
-    # Time-series gate: the tsdb pass scrapes a traced cluster run and
-    # a shaped serving overload into the embedded store. The binary
-    # gates span-chain completeness, stored-vs-live p99 agreement and
-    # the recording-rule replay in-process; here we gate the artifacts
-    # and the snapshot's byte-determinism across two identical-seed
-    # runs.
-    tsdbdir="$(mktemp -d)"
-    trap 'rm -rf "$profdir" "$charmapdir" "$slodir" "$chaosdir" "$tsdbdir"' EXIT
-    for tag in a b; do
-        run cargo run --release -q -p bdb-bench --bin reproduce -- \
-            --tsdb "$tsdbdir/$tag"
-    done
-    for f in tsdb_snapshot.bin timeline.txt serving.dash.txt \
-             node-0.dash.txt node-1.dash.txt node-2.dash.txt node-3.dash.txt; do
-        if [ ! -s "$tsdbdir/a/$f" ]; then
-            echo "ci: missing or empty tsdb artifact: $f" >&2
-            exit 1
-        fi
-    done
-    if ! cmp -s "$tsdbdir/a/tsdb_snapshot.bin" "$tsdbdir/b/tsdb_snapshot.bin"; then
-        echo "ci: tsdb_snapshot.bin is not byte-deterministic" >&2
-        exit 1
-    fi
-    echo "ci: tsdb snapshot deterministic, dashboards and timeline present"
-fi
-
-if [ "$bench_check" -eq 1 ]; then
-    # Regenerate the simulated perf numbers at the committed baseline's
-    # fraction and fail on drift beyond tolerance. Only deterministic
-    # simulator metrics are gated; wall-clock never is.
-    run cargo run --release -q -p bdb-bench --bin reproduce -- \
-        --fraction 0.02 --bench-baseline BENCH_RESULTS.json
+elif [ "$bench_check" -eq 1 ]; then
+    # The full tier already ran this gate above. Regenerate the
+    # simulated perf numbers at the committed baseline's fraction and
+    # fail on drift beyond tolerance. Only deterministic simulator
+    # metrics are gated; wall-clock never is.
+    reproduce --fraction 0.02 --bench-baseline BENCH_RESULTS.json
 fi
 
 echo "ci: all gates passed"

@@ -20,6 +20,7 @@ use bdb_archsim::{CacheConfig, MachineConfig, Probe, SimProbe};
 use bdb_bench::table::{fnum, TextTable};
 use bdb_dataflow::Dataset;
 use bdb_kvstore::{Store, StoreConfig};
+use bdb_mapreduce::jobs::Sort;
 use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
 use bigdatabench::{Suite, WorkloadId};
 use std::time::Instant;
@@ -129,33 +130,11 @@ fn ablate_bloom() {
 fn ablate_sortbuf() {
     section("A3 — sort-buffer budget vs spills (Sort, 16 MiB input)");
     let lines = corpus(16 << 20);
-    struct SortJob;
-    impl Job for SortJob {
-        type Input = String;
-        type Key = String;
-        type Value = ();
-        type Output = String;
-        fn input_size(&self, line: &String) -> usize {
-            line.len()
-        }
-        fn map<P: Probe + ?Sized>(&self, l: &String, e: &mut Emitter<String, ()>, _p: &mut P) {
-            e.emit(l.clone(), ());
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            k: String,
-            v: Vec<()>,
-            out: &mut Vec<String>,
-            _p: &mut P,
-        ) {
-            out.extend(std::iter::repeat_n(k, v.len()));
-        }
-    }
     let mut t = TextTable::new(&["buffer MiB", "spills", "spill MiB", "seconds"]);
     for buf_mib in [1usize, 4, 16, 64] {
         let engine = Engine::builder().map_buffer_bytes(buf_mib << 20).build();
         let start = Instant::now();
-        let (_, stats) = engine.run(&SortJob, &lines);
+        let (_, stats) = engine.run(&Sort, &lines);
         t.row(&[
             buf_mib.to_string(),
             stats.spills.to_string(),

@@ -22,10 +22,9 @@
 //! shaped overload) and writes `slo_report.json` plus per-service
 //! dashboards, Prometheus expositions and chain traces.
 
-use bdb_archsim::Probe;
 use bdb_bench::paper;
 use bdb_bench::table::{fnum, TextTable};
-use bdb_mapreduce::{Emitter, Job};
+use bdb_mapreduce::jobs::{Sort, WordCount};
 use bdb_telemetry::TraceSession;
 use bigdatabench::characterize::{self, Fig3Row};
 use bigdatabench::{MachineConfig, Suite, WorkloadId};
@@ -49,7 +48,6 @@ struct Args {
     profile_dir: Option<std::path::PathBuf>,
     bench_json: Option<std::path::PathBuf>,
     bench_baseline: Option<std::path::PathBuf>,
-    bench_tolerance: f64,
     bench_subset: Option<std::path::PathBuf>,
     charmap_dir: Option<std::path::PathBuf>,
     charmap_baseline: Option<std::path::PathBuf>,
@@ -87,7 +85,6 @@ options:
                          performance artifact to PATH
   --bench-baseline PATH  compare this run against a committed
                          BENCH_RESULTS.json; exit 1 on regression
-  --bench-tolerance PCT  allowed drift per gated metric (default 2.0)
   --bench-subset PATH    with --bench-baseline: gate only the
                          representative workloads listed in the
                          committed charmap.json at PATH (the ci.sh
@@ -163,7 +160,7 @@ enum Expecting {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { fraction: 0.25, bench_tolerance: 2.0, ..Default::default() };
+    let mut args = Args { fraction: 0.25, ..Default::default() };
     let mut selected = false;
     let mut state = Expecting::Flag;
     for raw in std::env::args().skip(1) {
@@ -204,7 +201,6 @@ fn parse_args() -> Args {
                 "--profile" => state = Expecting::Value("--profile"),
                 "--bench-json" => state = Expecting::Value("--bench-json"),
                 "--bench-baseline" => state = Expecting::Value("--bench-baseline"),
-                "--bench-tolerance" => state = Expecting::Value("--bench-tolerance"),
                 "--bench-subset" => state = Expecting::Value("--bench-subset"),
                 "--charmap" => state = Expecting::Value("--charmap"),
                 "--charmap-baseline" => state = Expecting::Value("--charmap-baseline"),
@@ -260,13 +256,6 @@ fn apply_value(args: &mut Args, flag: &str, value: &str) {
         "--profile" => args.profile_dir = Some(value.into()),
         "--bench-json" => args.bench_json = Some(value.into()),
         "--bench-baseline" => args.bench_baseline = Some(value.into()),
-        "--bench-tolerance" => {
-            args.bench_tolerance = value
-                .parse()
-                .ok()
-                .filter(|t| *t >= 0.0)
-                .unwrap_or_else(|| usage_error("--bench-tolerance needs a percentage >= 0"));
-        }
         "--bench-subset" => args.bench_subset = Some(value.into()),
         "--charmap" => args.charmap_dir = Some(value.into()),
         "--charmap-baseline" => args.charmap_baseline = Some(value.into()),
@@ -305,13 +294,27 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Writes one artifact, the only way this binary writes a file:
+/// creates `dir`, refuses an empty `body`, writes `dir/name` and prints
+/// `wrote <path>`. Any failure exits 2, so exit 0 means every artifact
+/// the run names exists and is non-empty.
+fn write_artifact(dir: &std::path::Path, name: &str, body: impl AsRef<[u8]>) -> std::path::PathBuf {
+    let path = dir.join(name);
+    if body.as_ref().is_empty() {
+        die(&format!("refusing to write an empty artifact {}", path.display()));
+    }
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, body))
+        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+    eprintln!("wrote {}", path.display());
+    path
+}
+
 fn save_json<T: serde::Serialize>(dir: &Option<std::path::PathBuf>, name: &str, value: &T) {
     if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, serde_json::to_string_pretty(value).expect("serialize"))
-            .expect("write json");
-        eprintln!("  wrote {}", path.display());
+        let body = serde_json::to_string_pretty(value)
+            .unwrap_or_else(|e| die(&format!("serializing {name}: {e}")));
+        write_artifact(dir, &format!("{name}.json"), body);
     }
 }
 
@@ -452,74 +455,15 @@ fn print_fig3(rows: &[Fig3Row]) {
     println!("{}", t.render());
 }
 
-/// WordCount job for the instrumented `--trace` pass.
-struct TraceWordCount;
-impl Job for TraceWordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, u64>, _p: &mut P) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
-
-/// TeraSort-style sort job for the instrumented `--trace` pass.
-struct TraceSort;
-impl Job for TraceSort {
-    type Input = String;
-    type Key = String;
-    type Value = ();
-    type Output = String;
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: Probe + ?Sized>(&self, line: &String, emit: &mut Emitter<String, ()>, _p: &mut P) {
-        emit.emit(line.clone(), ());
-    }
-    fn reduce<P: Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<()>,
-        out: &mut Vec<String>,
-        _p: &mut P,
-    ) {
-        for _ in values {
-            out.push(key.clone());
-        }
-    }
-}
-
 /// Writes one workload's profiling artifacts — `<stem>.folded`,
 /// `<stem>.critpath.txt`, `<stem>.util.txt` — next to its trace.
-fn write_profile(
-    session: &TraceSession,
-    dir: &std::path::Path,
-) -> std::io::Result<bdb_profile::Profile> {
-    std::fs::create_dir_all(dir)?;
+fn write_profile(session: &TraceSession, dir: &std::path::Path) -> bdb_profile::Profile {
     let profile = bdb_profile::Profile::from_events(&session.recorder.events());
     let stem = bdb_telemetry::file_stem(&session.name);
-    std::fs::write(dir.join(format!("{stem}.folded")), profile.folded())?;
-    std::fs::write(dir.join(format!("{stem}.critpath.txt")), profile.critpath_text())?;
-    std::fs::write(dir.join(format!("{stem}.util.txt")), profile.util_text())?;
-    Ok(profile)
+    write_artifact(dir, &format!("{stem}.folded"), profile.folded());
+    write_artifact(dir, &format!("{stem}.critpath.txt"), profile.critpath_text());
+    write_artifact(dir, &format!("{stem}.util.txt"), profile.util_text());
+    profile
 }
 
 /// Runs an instrumented pass of representative workloads, writing a
@@ -553,19 +497,18 @@ fn trace_exports(
     // + busy-workers counter track); returns the profile for callers
     // that gate on it.
     let export = |session: &TraceSession, detail: &str| -> Option<bdb_profile::Profile> {
-        let profile = profile_dir.map(|pdir| {
-            write_profile(session, pdir)
-                .unwrap_or_else(|e| die(&format!("{}: profile export failed: {e}", session.name)))
-        });
+        let profile = profile_dir.map(|pdir| write_profile(session, pdir));
         let tracks: Vec<bdb_telemetry::CounterTrack> =
             profile.iter().map(bdb_profile::Profile::concurrency_track).collect();
-        match session.write_with_tracks(dir, &tracks) {
-            Ok((trace, _metrics)) => {
-                println!("  {:<20} {detail}", session.name);
-                println!("  {:<20} -> {}", "", trace.display());
-            }
-            Err(e) => eprintln!("  {}: trace export failed: {e}", session.name),
-        }
+        let stem = bdb_telemetry::file_stem(&session.name);
+        let trace = write_artifact(
+            dir,
+            &format!("{stem}.trace.json"),
+            session.trace_json_with_tracks(&tracks),
+        );
+        write_artifact(dir, &format!("{stem}.metrics.txt"), session.metrics_summary());
+        println!("  {:<20} {detail}", session.name);
+        println!("  {:<20} -> {}", "", trace.display());
         if let Some(p) = &profile {
             println!("  {:<20} {}", "", p.critical_summary().render());
         }
@@ -586,7 +529,7 @@ fn trace_exports(
         .metrics(session.metrics.clone())
         .build();
     let mut probe = SimProbe::new(machine.clone());
-    let (_, stats) = engine.run_traced(&TraceWordCount, &lines, &mut probe);
+    let (_, stats) = engine.run_traced(&WordCount, &lines, &mut probe);
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
@@ -619,7 +562,7 @@ fn trace_exports(
         .metrics(session.metrics.clone())
         .build();
     let mut probe = SimProbe::new(machine);
-    let (_, stats) = engine.run_traced(&TraceSort, &lines, &mut probe);
+    let (_, stats) = engine.run_traced(&Sort, &lines, &mut probe);
     if let Some(cp) = &stats.critical_path {
         println!("  {:<20} job: {}", "", cp.render());
     }
@@ -697,13 +640,10 @@ fn trace_exports(
     }
     for (session, report, scrapes) in &serving_runs {
         export(session, &format!("{requests} requests | {:.0} req/s", report.achieved_rps));
-        let prom_path = dir.join(format!("{}.prom.txt", session.name.to_lowercase()));
         let body: String =
             scrapes.iter().enumerate().map(|(i, s)| format!("# scrape {i}\n{s}\n")).collect();
-        match std::fs::write(&prom_path, body) {
-            Ok(()) => println!("  {:<20} -> {}", "", prom_path.display()),
-            Err(e) => eprintln!("  {}: prometheus export failed: {e}", session.name),
-        }
+        let prom = write_artifact(dir, &format!("{}.prom.txt", session.name.to_lowercase()), body);
+        println!("  {:<20} -> {}", "", prom.display());
     }
 
     // Cloud OLTP: LSM store write + read mix with flushes/compactions.
@@ -712,49 +652,40 @@ fn trace_exports(
     let _ = std::fs::remove_dir_all(&kv_dir);
     let config =
         StoreConfig { memtable_flush_bytes: 64 << 10, max_tables: 4, ..Default::default() };
-    match Store::open_with(&kv_dir, config) {
-        Ok(mut store) => {
-            store.set_telemetry(session.recorder.clone());
-            store.set_metrics(&session.metrics);
-            let ops = ((20_000.0 * f) as u32).max(2_000);
-            let mut failed = false;
-            {
-                // Top-level phase spans so the profiler attributes the
-                // run to load vs read instead of leaving idle gaps.
-                let _load = session.recorder.span("kvstore", "oltp-load");
-                for i in 0..ops {
-                    let key = format!("row{i:08}").into_bytes();
-                    if store.put(key, vec![b'v'; 100]).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            {
-                let _read = session.recorder.span("kvstore", "oltp-read");
-                for i in 0..ops {
-                    // Half present, half absent — exercises the bloom filters.
-                    let probe_key = format!("row{:08}", u64::from(i) * 2).into_bytes();
-                    if store.get(&probe_key).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                eprintln!("  CloudOLTP: store I/O failed; exporting partial trace");
-            }
-            let s = store.stats();
-            export(
-                &session,
-                &format!(
-                    "{ops} puts + {ops} gets | {} flushes, {} compactions, {} bloom skips",
-                    s.flushes, s.compactions, s.bloom_skips
-                ),
-            );
+    let kv_fail = |what: &str, e: std::io::Error| -> ! {
+        let _ = std::fs::remove_dir_all(&kv_dir);
+        die(&format!("CloudOLTP: store {what} failed: {e}"))
+    };
+    let mut store = Store::open_with(&kv_dir, config).unwrap_or_else(|e| kv_fail("open", e));
+    store.set_telemetry(session.recorder.clone());
+    store.set_metrics(&session.metrics);
+    let ops = ((20_000.0 * f) as u32).max(2_000);
+    {
+        // Top-level phase spans so the profiler attributes the run to
+        // load vs read instead of leaving idle gaps.
+        let _load = session.recorder.span("kvstore", "oltp-load");
+        for i in 0..ops {
+            let key = format!("row{i:08}").into_bytes();
+            store.put(key, vec![b'v'; 100]).unwrap_or_else(|e| kv_fail("put", e));
         }
-        Err(e) => eprintln!("  CloudOLTP: store open failed: {e}"),
     }
+    {
+        let _read = session.recorder.span("kvstore", "oltp-read");
+        for i in 0..ops {
+            // Half present, half absent — exercises the bloom filters.
+            let probe_key = format!("row{:08}", u64::from(i) * 2).into_bytes();
+            store.get(&probe_key).unwrap_or_else(|e| kv_fail("get", e));
+        }
+    }
+    let s = store.stats();
+    export(
+        &session,
+        &format!(
+            "{ops} puts + {ops} gets | {} flushes, {} compactions, {} bloom skips",
+            s.flushes, s.compactions, s.bloom_skips
+        ),
+    );
+    drop(store);
     let _ = std::fs::remove_dir_all(&kv_dir);
 
     // Relational query: select + hash join over e-commerce tables.
@@ -773,14 +704,11 @@ fn trace_exports(
     let joined =
         hash_join_instrumented(&orders_c, "ORDER_ID", &items_c, "ORDER_ID", &session.recorder);
     drop(query_span);
-    match (sel, joined) {
-        (Ok(sel), Ok(joined)) => {
-            session.metrics.counter("sql.select_rows").add(sel.len() as u64);
-            session.metrics.counter("sql.joined_rows").add(joined.len() as u64);
-            export(&session, &format!("{} orders | {} joined rows", orders.len(), joined.len()));
-        }
-        _ => eprintln!("  JoinQuery: query failed; trace not exported"),
-    }
+    let sel = sel.unwrap_or_else(|e| die(&format!("JoinQuery: select failed: {e}")));
+    let joined = joined.unwrap_or_else(|e| die(&format!("JoinQuery: join failed: {e}")));
+    session.metrics.counter("sql.select_rows").add(sel.len() as u64);
+    session.metrics.counter("sql.joined_rows").add(joined.len() as u64);
+    export(&session, &format!("{} orders | {} joined rows", orders.len(), joined.len()));
 }
 
 fn main() {
@@ -971,7 +899,7 @@ fn faults_smoke(seed: u64) {
     let build = |faults: FaultPlan| {
         Engine::builder().threads(4).reducers(3).map_buffer_bytes(1024).faults(faults).build()
     };
-    let (clean, clean_stats) = build(FaultPlan::disabled()).run(&TraceWordCount, &input);
+    let (clean, clean_stats) = build(FaultPlan::disabled()).run(&WordCount, &input);
     if clean_stats.spills == 0 {
         die("faults smoke: fault-free run never spilled; the spill site would not fire");
     }
@@ -983,7 +911,7 @@ fn faults_smoke(seed: u64) {
         .straggle_nth(sites::MAP_STRAGGLER, 3, Duration::from_millis(400))
         .metrics(metrics.clone())
         .build();
-    let (faulty, stats) = build(plan.clone()).run(&TraceWordCount, &input);
+    let (faulty, stats) = build(plan.clone()).run(&WordCount, &input);
 
     let mut t = TextTable::new(&["check", "expectation", "measured", "verdict"]);
     let mut failed = false;
@@ -1050,11 +978,10 @@ fn faults_smoke(seed: u64) {
 /// subset holds none) — the fast per-PR tier.
 fn slo_pass(args: &Args) {
     use bdb_obs::{dash, report, ObsConfig, ObsPipeline, Severity};
-    use bdb_serving::{QueuePolicy, QueueSim, ServiceTimeModel};
+    use bdb_serving::ServiceTimeModel;
     use std::time::Duration;
 
     const SLO_SEED: u64 = 42;
-    const WORKERS: u32 = 4;
     const THRESHOLD: Duration = Duration::from_millis(50);
     // Steady horizon = rolling span (8 × 2 s windows) so the
     // rolling-vs-whole-run gate compares the same stationary stretch.
@@ -1063,8 +990,6 @@ fn slo_pass(args: &Args) {
 
     section("SLO — online observability over the serving tier");
     let dir = args.slo_dir.as_ref().expect("slo_pass called without --slo");
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
 
     let serving = [WorkloadId::NutchServer, WorkloadId::OlioServer, WorkloadId::RubisServer];
     let selected: Vec<WorkloadId> = match args.bench_subset.as_deref().map(load_subset) {
@@ -1119,15 +1044,7 @@ fn slo_pass(args: &Args) {
         let svc_seed = SLO_SEED ^ bdb_obs::phase_salt(name);
         let times = model.sample_times(2048, svc_seed);
 
-        let steady = QueueSim::new(WORKERS).run(400.0, STEADY, &times, svc_seed);
-        let policy =
-            QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-        let overload = QueueSim::new(WORKERS).with_policy(policy).run(
-            3200.0,
-            OVERLOAD,
-            &times,
-            svc_seed ^ 0xBEEF,
-        );
+        let (steady, overload) = shaped_overload(&times, svc_seed, STEADY, OVERLOAD);
 
         // Gate: the steady phase alone stays quiet and its rolling
         // tails agree with the whole-run histogram.
@@ -1176,20 +1093,13 @@ fn slo_pass(args: &Args) {
         bdb_telemetry::assert_prometheus_grammar(&obs.prometheus);
 
         let stem = bdb_telemetry::file_stem(name);
-        let writes = [
-            (format!("{stem}.dash.txt"), dash::render(&obs)),
-            (format!("{stem}.slo.prom.txt"), obs.prometheus.clone()),
-            (
-                format!("{stem}.slo.trace.json"),
-                bdb_telemetry::chrome_trace_json_with_tracks(name, &obs.spans, None, &obs.tracks),
-            ),
-        ];
-        for (file, text) in writes {
-            let path = dir.join(&file);
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-            eprintln!("wrote {}", path.display());
-        }
+        write_artifact(dir, &format!("{stem}.dash.txt"), dash::render(&obs));
+        write_artifact(dir, &format!("{stem}.slo.prom.txt"), &obs.prometheus);
+        write_artifact(
+            dir,
+            &format!("{stem}.slo.trace.json"),
+            bdb_telemetry::chrome_trace_json_with_tracks(name, &obs.spans, None, &obs.tracks),
+        );
 
         t.row(&[
             name.to_owned(),
@@ -1205,10 +1115,30 @@ fn slo_pass(args: &Args) {
     }
     println!("{}", t.render());
 
-    let path = dir.join("slo_report.json");
-    std::fs::write(&path, report::render_report(SLO_SEED, &observations))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
+    let path =
+        write_artifact(dir, "slo_report.json", report::render_report(SLO_SEED, &observations));
     println!("slo pass PASS: wrote {} ({} services observed)", path.display(), observations.len());
+}
+
+/// The shaped serving load that `--slo` and `--tsdb` both drive: four
+/// workers at a steady 400 rps for `steady`, then 3200 rps for
+/// `overload` against a 64-deep queue with an 80 ms deadline.
+fn shaped_overload(
+    times: &[std::time::Duration],
+    seed: u64,
+    steady: std::time::Duration,
+    overload: std::time::Duration,
+) -> (bdb_serving::queue::QueueResult, bdb_serving::queue::QueueResult) {
+    use bdb_serving::{QueuePolicy, QueueSim};
+    const WORKERS: u32 = 4;
+    let policy = QueuePolicy {
+        queue_capacity: Some(64),
+        deadline: Some(std::time::Duration::from_millis(80)),
+    };
+    (
+        QueueSim::new(WORKERS).run(400.0, steady, times, seed),
+        QueueSim::new(WORKERS).with_policy(policy).run(3200.0, overload, times, seed ^ 0xBEEF),
+    )
 }
 
 /// Deterministic chaos-campaign pass: three workload tiers under
@@ -1242,8 +1172,6 @@ fn chaos_pass(args: &Args) {
     let seed = args.chaos_seed.expect("chaos_pass called without --chaos");
     let dir = args.chaos_dir.as_ref().expect("--chaos always parses its directory");
     section(&format!("Chaos campaigns — seed {seed}"));
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
 
     let short = args.bench_subset.is_some();
     let (oltp_config, rounds) = if short {
@@ -1292,10 +1220,8 @@ fn chaos_pass(args: &Args) {
 
     for r in reports {
         let stem = bdb_telemetry::file_stem(r.campaign);
-        let path = dir.join(format!("{stem}.chaos.trace.json"));
-        std::fs::write(&path, bdb_telemetry::chrome_trace_json(r.campaign, &r.spans, None))
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
+        let trace = bdb_telemetry::chrome_trace_json(r.campaign, &r.spans, None);
+        write_artifact(dir, &format!("{stem}.chaos.trace.json"), trace);
     }
 
     // The combined machine-readable report: byte-deterministic, so two
@@ -1311,9 +1237,7 @@ fn chaos_pass(args: &Args) {
         o.finish();
     }
     out.push('\n');
-    let path = dir.join("chaos_report.json");
-    std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-    eprintln!("wrote {}", path.display());
+    let report_path = write_artifact(dir, "chaos_report.json", out);
 
     // In-binary acceptance: the Cloud-OLTP campaign must actually have
     // exercised the recovery machinery, not merely avoided breaking.
@@ -1333,7 +1257,7 @@ fn chaos_pass(args: &Args) {
         "chaos PASS: {} campaigns, {} checkers, report {}",
         reports.len(),
         reports.iter().map(|r| r.checkers.len()).sum::<usize>(),
-        dir.join("chaos_report.json").display()
+        report_path.display()
     );
 }
 
@@ -1366,7 +1290,6 @@ fn chaos_pass(args: &Args) {
 fn tsdb_pass(args: &Args) {
     use bdb_obs::{phase_salt, ObsConfig, ObsPipeline, TraceId};
     use bdb_serving::queue::RequestOutcome;
-    use bdb_serving::{QueuePolicy, QueueSim};
     use bdb_telemetry::MetricsRegistry;
     use bdb_tsdb::{
         histogram_quantile, reconstruct_writes, render_node_dashboard, render_timeline,
@@ -1382,8 +1305,6 @@ fn tsdb_pass(args: &Args) {
 
     section("TSDB — time-series store + cluster-wide tracing");
     let dir = args.tsdb_dir.as_ref().expect("tsdb_pass called without --tsdb");
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
 
     let short = args.bench_subset.is_some();
     let (writes, steady, overload) = if short {
@@ -1477,11 +1398,7 @@ fn tsdb_pass(args: &Args) {
     let svc_seed = TSDB_SEED ^ phase_salt("NutchServer");
     let model = bdb_serving::search::SearchServer::build(200, TSDB_SEED).service_model();
     let times = model.sample_times(2048, svc_seed);
-    let steady_run = QueueSim::new(4).run(400.0, steady, &times, svc_seed);
-    let policy =
-        QueuePolicy { queue_capacity: Some(64), deadline: Some(Duration::from_millis(80)) };
-    let overload_run =
-        QueueSim::new(4).with_policy(policy).run(3200.0, overload, &times, svc_seed ^ 0xBEEF);
+    let (steady_run, overload_run) = shaped_overload(&times, svc_seed, steady, overload);
 
     let obs_config = ObsConfig::default_for(THRESHOLD, svc_seed);
     let (spec, rules, window_us) =
@@ -1494,8 +1411,8 @@ fn tsdb_pass(args: &Args) {
     // Replay the same terminal events into a registry, scraping on
     // every window boundary (plus a finer cadence between them), so
     // the stored cumulative counters can answer for the live run.
-    // Terminal times mirror `ObsPipeline::ingest_phase`: shed at
-    // arrival, timed-out at abandonment, completed at finish.
+    // Terminal times are `ObsPipeline::ingest_phase`'s, from
+    // `RequestRecord::terminal_ns`.
     let threshold_us = THRESHOLD.as_micros() as u64;
     // (t_ns, bad, completed latency µs) per terminal event.
     let mut terminal: Vec<(u64, bool, Option<u64>)> = Vec::new();
@@ -1503,18 +1420,15 @@ fn tsdb_pass(args: &Args) {
         [(0u64, &steady_run.records), (steady.as_nanos() as u64, &overload_run.records)]
     {
         for r in records {
-            let (t, bad, latency_us) = match r.outcome {
-                RequestOutcome::Shed => (Some(r.arrival_ns), true, None),
-                RequestOutcome::TimedOut => (r.start_ns, true, None),
+            let Some(t) = r.terminal_ns() else { continue };
+            let (bad, latency_us) = match r.outcome {
                 RequestOutcome::Completed => {
                     let us = r.latency_ns() / 1_000;
-                    (r.finish_ns, us >= threshold_us, Some(us))
+                    (us >= threshold_us, Some(us))
                 }
-                RequestOutcome::Unfinished => (None, false, None),
+                _ => (true, None),
             };
-            if let Some(t) = t {
-                terminal.push((offset_ns + t, bad, latency_us));
-            }
+            terminal.push((offset_ns + t, bad, latency_us));
         }
     }
     terminal.sort_unstable();
@@ -1595,30 +1509,17 @@ fn tsdb_pass(args: &Args) {
     if reloaded.snapshot_bytes() != bytes {
         die("tsdb: snapshot round-trip is not byte-identical");
     }
-    let snap_path = dir.join("tsdb_snapshot.bin");
-    std::fs::write(&snap_path, &bytes)
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", snap_path.display())));
-    eprintln!(
-        "wrote {} ({} series, {} bytes)",
-        snap_path.display(),
-        db.series_count(),
-        bytes.len()
-    );
+    write_artifact(dir, "tsdb_snapshot.bin", &bytes);
 
     for node in node_names.iter().map(String::as_str).chain(["serving"]) {
-        let path = dir.join(if node == "serving" {
+        let name = if node == "serving" {
             "serving.dash.txt".to_owned()
         } else {
             format!("node-{node}.dash.txt")
-        });
-        std::fs::write(&path, render_node_dashboard(&db, node, DASH_WIDTH))
-            .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-        eprintln!("wrote {}", path.display());
+        };
+        write_artifact(dir, &name, render_node_dashboard(&db, node, DASH_WIDTH));
     }
-    let timeline_path = dir.join("timeline.txt");
-    std::fs::write(&timeline_path, render_timeline(&events, &chains))
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", timeline_path.display())));
-    eprintln!("wrote {}", timeline_path.display());
+    write_artifact(dir, "timeline.txt", render_timeline(&events, &chains));
 
     let acked = chains.iter().filter(|c| c.acked).count();
     let scrapes = series_of("serving.requests_total").len();
@@ -1657,7 +1558,7 @@ fn load_subset(path: &std::path::Path) -> (Vec<String>, Vec<WorkloadId>) {
 /// With `--bench-subset`, only the representative workloads from the
 /// committed charmap are run and gated — the fast per-PR tier.
 fn bench_results(args: &Args) {
-    use bdb_bench::results::{collect, compare_json, DEFAULT_WORKLOADS};
+    use bdb_bench::results::{collect, compare_json, DEFAULT_WORKLOADS, TOLERANCE_PCT};
 
     section("BENCH_RESULTS — simulated performance artifact");
     let subset = args.bench_subset.as_deref().map(load_subset);
@@ -1686,20 +1587,22 @@ fn bench_results(args: &Args) {
     println!("{}", t.render());
 
     if let Some(path) = &args.bench_json {
-        match results.write(path) {
-            Ok(()) => eprintln!("  wrote {}", path.display()),
-            Err(e) => die(&format!("writing {}: {e}", path.display())),
-        }
+        let name = path.file_name().unwrap_or_else(|| die("--bench-json needs a file path"));
+        write_artifact(
+            path.parent().unwrap_or(std::path::Path::new("")),
+            &name.to_string_lossy(),
+            &current,
+        );
     }
     if let Some(path) = &args.bench_baseline {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("reading baseline {}: {e}", path.display())));
         let names = subset.as_ref().map(|(names, _)| names.as_slice());
-        match compare_json(&baseline, &current, args.bench_tolerance, names) {
+        match compare_json(&baseline, &current, TOLERANCE_PCT, names) {
             Ok(drifts) if drifts.is_empty() => {
                 println!(
                     "bench-check PASS: all gated metrics within {}% of {}{}",
-                    args.bench_tolerance,
+                    TOLERANCE_PCT,
                     path.display(),
                     if subset.is_some() { " (representative subset)" } else { "" }
                 );
@@ -1708,7 +1611,7 @@ fn bench_results(args: &Args) {
                 eprintln!(
                     "bench-check FAIL: {} metric(s) drifted beyond {}% of {}:",
                     drifts.len(),
-                    args.bench_tolerance,
+                    TOLERANCE_PCT,
                     path.display()
                 );
                 for d in &drifts {
@@ -1783,16 +1686,8 @@ fn charmap_pass(args: &Args) {
     }
 
     if let Some(dir) = &args.charmap_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("creating {}: {e}", dir.display()));
-        }
-        for (name, body) in [("charmap.txt", map.to_text()), ("charmap.json", map.to_json())] {
-            let path = dir.join(name);
-            match std::fs::write(&path, body) {
-                Ok(()) => eprintln!("  wrote {}", path.display()),
-                Err(e) => die(&format!("writing {}: {e}", path.display())),
-            }
-        }
+        write_artifact(dir, "charmap.txt", map.to_text());
+        write_artifact(dir, "charmap.json", map.to_json());
     }
 
     if let Some((path, committed)) = &committed {

@@ -9,41 +9,9 @@
 
 use bdb_archsim::{MachineConfig, SimProbe};
 use bdb_dataflow::Dataset;
-use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
+use bdb_mapreduce::jobs::WordCount;
+use bdb_mapreduce::{Engine, FrameworkModel};
 use bigdatabench::CharacterizationReport;
-
-struct WordCount;
-impl Job for WordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn input_size(&self, line: &String) -> usize {
-        line.len()
-    }
-    fn map<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<String, u64>,
-        _p: &mut P,
-    ) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, v: Vec<u64>) -> Vec<u64> {
-        vec![v.into_iter().sum()]
-    }
-    fn reduce<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        k: String,
-        v: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((k, v.into_iter().sum()));
-    }
-}
 
 fn main() {
     let lines: Vec<String> = bdb_datagen::text::TextGenerator::wikipedia(11)

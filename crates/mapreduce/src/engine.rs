@@ -1022,38 +1022,8 @@ fn sort_and_combine<J: Job>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::WordCount;
     use bdb_archsim::{CountingProbe, MachineConfig, SimProbe};
-
-    /// WordCount with a summing combiner.
-    struct WordCount;
-    impl Job for WordCount {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        type Output = (String, u64);
-        fn map<P: Probe + ?Sized>(
-            &self,
-            line: &String,
-            emit: &mut Emitter<String, u64>,
-            _p: &mut P,
-        ) {
-            for w in line.split_whitespace() {
-                emit.emit(w.to_owned(), 1);
-            }
-        }
-        fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-            vec![values.into_iter().sum()]
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            key: String,
-            values: Vec<u64>,
-            out: &mut Vec<(String, u64)>,
-            _p: &mut P,
-        ) {
-            out.push((key, values.into_iter().sum()));
-        }
-    }
 
     /// Identity sort job over u64 keys.
     struct SortJob;

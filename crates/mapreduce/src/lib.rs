@@ -67,6 +67,7 @@ pub mod codec;
 pub mod engine;
 pub mod error;
 pub mod job;
+pub mod jobs;
 pub mod spill;
 pub mod trace;
 

@@ -262,8 +262,7 @@ impl ObsPipeline {
         let salt = phase_salt(phase);
         // Requests overlap, so windowed metrics need the stream as
         // *events* in time order: arrival at arrival time, terminal
-        // outcome when it happens (shed at arrival, timed-out at
-        // abandonment, completed at finish).
+        // outcome when it happens (`RequestRecord::terminal_ns`).
         #[derive(Clone, Copy)]
         enum Kind {
             Arrive,
@@ -272,15 +271,9 @@ impl ObsPipeline {
         let mut events: Vec<(u64, u8, u64, Kind)> = Vec::with_capacity(records.len() * 2);
         for r in records {
             events.push((r.arrival_ns, 0, r.seq, Kind::Arrive));
-            let terminal = match r.outcome {
-                RequestOutcome::Shed => Some(r.arrival_ns),
-                RequestOutcome::TimedOut => r.start_ns,
-                RequestOutcome::Completed => r.finish_ns,
-                // Unfinished requests have no terminal event inside
-                // the horizon; they count as offered only.
-                RequestOutcome::Unfinished => None,
-            };
-            if let Some(t) = terminal {
+            // Unfinished requests have no terminal event inside the
+            // horizon; they count as offered only.
+            if let Some(t) = r.terminal_ns() {
                 events.push((t, 1, r.seq, Kind::Terminal));
             }
         }

@@ -97,6 +97,18 @@ impl RequestRecord {
         }
     }
 
+    /// When the request ended inside the horizon: shed at arrival,
+    /// timed out when abandoned, completed at finish. Unfinished
+    /// requests never end inside the horizon.
+    pub fn terminal_ns(&self) -> Option<u64> {
+        match self.outcome {
+            RequestOutcome::Shed => Some(self.arrival_ns),
+            RequestOutcome::TimedOut => self.start_ns,
+            RequestOutcome::Completed => self.finish_ns,
+            RequestOutcome::Unfinished => None,
+        }
+    }
+
     /// Admission wait (service start minus arrival); zero for shed.
     pub fn wait_ns(&self) -> u64 {
         self.start_ns.unwrap_or(self.arrival_ns).saturating_sub(self.arrival_ns)
@@ -452,6 +464,21 @@ mod tests {
                     assert!(rec.worker.unwrap() < 3);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_request_ends_its_latency_after_arrival() {
+        let policy = QueuePolicy { queue_capacity: Some(8), deadline: Some(ms(30)) };
+        let r =
+            QueueSim::new(2).with_policy(policy).run(2000.0, Duration::from_secs(2), &[ms(10)], 5);
+        for outcome in [RequestOutcome::Shed, RequestOutcome::TimedOut, RequestOutcome::Completed] {
+            assert!(r.records.iter().any(|rec| rec.outcome == outcome), "{outcome:?} occurs");
+        }
+        for rec in &r.records {
+            let want = (rec.outcome != RequestOutcome::Unfinished)
+                .then(|| rec.arrival_ns + rec.latency_ns());
+            assert_eq!(rec.terminal_ns(), want, "{rec:?}");
         }
     }
 

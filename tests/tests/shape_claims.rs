@@ -106,38 +106,10 @@ fn stack_swap_moves_the_l1i_misses() {
     // stack and see whether the front-end stalls follow the stack.
     // They do: the same WordCount on the in-memory dataflow engine has
     // a fraction of the Hadoop-style L1I misses.
-    use bdb_archsim::Probe;
     use bdb_archsim::SimProbe;
     use bdb_dataflow::Dataset;
-    use bdb_mapreduce::{Emitter, Engine, FrameworkModel, Job};
-
-    struct Wc;
-    impl Job for Wc {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        type Output = (String, u64);
-        fn input_size(&self, line: &String) -> usize {
-            line.len()
-        }
-        fn map<P: Probe + ?Sized>(&self, l: &String, e: &mut Emitter<String, u64>, _p: &mut P) {
-            for w in l.split_whitespace() {
-                e.emit(w.to_owned(), 1);
-            }
-        }
-        fn combine(&self, _k: &String, v: Vec<u64>) -> Vec<u64> {
-            vec![v.into_iter().sum()]
-        }
-        fn reduce<P: Probe + ?Sized>(
-            &self,
-            k: String,
-            v: Vec<u64>,
-            out: &mut Vec<(String, u64)>,
-            _p: &mut P,
-        ) {
-            out.push((k, v.into_iter().sum()));
-        }
-    }
+    use bdb_mapreduce::jobs::WordCount;
+    use bdb_mapreduce::{Engine, FrameworkModel};
 
     let lines: Vec<String> = bdb_datagen::text::TextGenerator::wikipedia(3)
         .corpus(128 << 10)
@@ -150,9 +122,9 @@ fn stack_swap_moves_the_l1i_misses() {
     let engine = Engine::builder().build();
     let mut fw = FrameworkModel::new();
     fw.warm(&mut probe);
-    engine.run_traced_with(&Wc, &lines[..lines.len() / 5], &mut probe, &mut fw);
+    engine.run_traced_with(&WordCount, &lines[..lines.len() / 5], &mut probe, &mut fw);
     probe.reset_stats();
-    let (mut hadoop_out, _) = engine.run_traced_with(&Wc, &lines, &mut probe, &mut fw);
+    let (mut hadoop_out, _) = engine.run_traced_with(&WordCount, &lines, &mut probe, &mut fw);
     let hadoop = probe.finish();
 
     let mut probe = SimProbe::new(machine);

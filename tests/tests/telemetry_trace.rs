@@ -2,39 +2,10 @@
 //! layer must be a valid trace-event array — parseable by `serde_json`
 //! and structurally loadable by `chrome://tracing` / Perfetto.
 
-use bdb_mapreduce::{Emitter, Engine, Job};
+use bdb_mapreduce::jobs::WordCount;
+use bdb_mapreduce::Engine;
 use bdb_telemetry::TraceSession;
 use std::collections::HashMap;
-
-struct WordCount;
-impl Job for WordCount {
-    type Input = String;
-    type Key = String;
-    type Value = u64;
-    type Output = (String, u64);
-    fn map<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        line: &String,
-        emit: &mut Emitter<String, u64>,
-        _p: &mut P,
-    ) {
-        for w in line.split_whitespace() {
-            emit.emit(w.to_owned(), 1);
-        }
-    }
-    fn combine(&self, _k: &String, values: Vec<u64>) -> Vec<u64> {
-        vec![values.into_iter().sum()]
-    }
-    fn reduce<P: bdb_archsim::Probe + ?Sized>(
-        &self,
-        key: String,
-        values: Vec<u64>,
-        out: &mut Vec<(String, u64)>,
-        _p: &mut P,
-    ) {
-        out.push((key, values.into_iter().sum()));
-    }
-}
 
 /// Produces a trace from a real multi-threaded engine run.
 fn traced_session() -> TraceSession {
